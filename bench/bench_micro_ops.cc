@@ -270,7 +270,7 @@ int RunSteadyStateAssert() {
   return 0;
 }
 
-/// `--assert-snapshot-load-allocs`: saves v2 snapshots of two worlds whose
+/// `--assert-snapshot-load-allocs`: saves snapshots of two worlds whose
 /// entity counts differ 2x, loads each, and asserts the heap-allocation
 /// count of the load is identical — i.e. loading allocates a fixed set of
 /// wrapper objects (engine, dictionaries, gauges) and nothing per entity.
@@ -305,10 +305,10 @@ int RunSnapshotLoadAllocAssert() {
               static_cast<unsigned long long>(small),
               static_cast<unsigned long long>(large));
   if (small != large) {
-    std::printf("FAIL: v2 snapshot load allocates per entity\n");
+    std::printf("FAIL: snapshot load allocates per entity\n");
     return 1;
   }
-  std::printf("OK: v2 snapshot load allocation count is "
+  std::printf("OK: snapshot load allocation count is "
               "entity-count-independent\n");
   return 0;
 }

@@ -27,7 +27,7 @@
 //                  serial; 0 = one per hardware thread). The TSV rows and
 //                  the stats counters are identical for every N.
 //   --save-snapshot=PATH  after building, write the engine image (snapshot
-//                  v2) to PATH and continue
+//                  v3) to PATH and continue
 //   --load-snapshot=PATH  mmap a previously saved snapshot instead of
 //                  building from ENTITIES/RULES (both files are still
 //                  read for reporting, but the engine state comes from

@@ -1,9 +1,10 @@
 // Fuzz target: snapshot loading — the primary untrusted-byte surface.
 // Drives both entry points over the same input:
-//  1. EngineImage::FromBuffer — the v2 arena parse + view wiring
+//  1. EngineImage::FromBuffer — the engine-image arena parse + view wiring
 //     (ImageView::Parse, section table, CRC32c, alignment checks);
-//  2. LoadSnapshot — the full on-disk dispatch (v1 record parse / v2 mmap),
-//     through a real temp file so the mmap path itself is exercised.
+//  2. LoadSnapshot — the full on-disk dispatch (v1 record parse / image
+//     mmap), through a real temp file so the mmap path itself is
+//     exercised.
 // The contract under test is snapshot.h's: corrupt, truncated or
 // bit-flipped input yields a Status, never a crash — so the harness just
 // feeds bytes and, when a hostile image somehow parses, runs one

@@ -76,6 +76,26 @@ Result<AlignedBuffer> ImageBuilder::Finish() const {
   return buffer;
 }
 
+namespace {
+
+/// OK for kImageVersion. A retired image version yields
+/// FailedPrecondition naming it (the file is intact but must be rebuilt);
+/// anything else is an IOError.
+Status CheckImageVersion(uint32_t version) {
+  if (version == kImageVersion) return Status::OK();
+  if (version >= kFirstImageVersion && version < kImageVersion) {
+    return Status::FailedPrecondition(
+        "engine image: version " + std::to_string(version) +
+        " is no longer supported (this build reads version " +
+        std::to_string(kImageVersion) + "); rebuild the snapshot from its "
+        "entities and rules");
+  }
+  return Status::IOError("engine image: unsupported version " +
+                         std::to_string(version));
+}
+
+}  // namespace
+
 const SectionEntry* ImageView::Find(uint32_t id) const {
   // Linear scan: the table is tiny (≤ ~25 entries) and lookups happen a
   // fixed number of times per load, never on the extraction path.
@@ -94,10 +114,7 @@ Result<ImageView> ImageView::Parse(Span<uint8_t> bytes) {
   if (header.magic != kImageMagic) {
     return Status::IOError("engine image: bad magic");
   }
-  if (header.version != kImageVersion) {
-    return Status::IOError("engine image: unsupported version " +
-                           std::to_string(header.version));
-  }
+  AEETES_RETURN_IF_ERROR(CheckImageVersion(header.version));
   if (header.endian_mark != kImageEndianMark) {
     return Status::IOError("engine image: endianness mismatch");
   }

@@ -14,7 +14,7 @@
 
 namespace aeetes {
 
-/// Engine-image arena (snapshot format v2, DESIGN.md §11).
+/// Engine-image arena (snapshot format v3, DESIGN.md §11).
 ///
 /// All immutable offline state — token dictionary, derived dictionary,
 /// size-sorted index, rank arenas, clustered inverted index — lives in one
@@ -29,7 +29,12 @@ namespace aeetes {
 /// builders or an mmap-ed snapshot file. The format is little-endian only
 /// (the header carries an endian mark; big-endian hosts reject the file).
 inline constexpr uint32_t kImageMagic = 0x54454541;  // "AEET" (shared w/ v1)
-inline constexpr uint32_t kImageVersion = 2;
+inline constexpr uint32_t kImageVersion = 3;
+/// Oldest version ever written in this layout. Versions in
+/// [kFirstImageVersion, kImageVersion) are recognized but refused: they
+/// lack sections the serving path relies on (v2: the origin-union bound
+/// and the rule lines), so they must be rebuilt from source.
+inline constexpr uint32_t kFirstImageVersion = 2;
 inline constexpr uint32_t kImageEndianMark = 0x01020304;
 inline constexpr size_t kImageAlignment = 64;
 inline constexpr uint32_t kImageMaxSections = 1024;
@@ -83,6 +88,12 @@ inline constexpr uint32_t kSizeSortedIds = 31;
 inline constexpr uint32_t kSizeSortedSizes = 32;
 inline constexpr uint32_t kRanksBegin = 33;
 inline constexpr uint32_t kRanksArena = 34;
+// Since v3: per-origin union of the derived entities' ranks (the
+// verifier's overlap bound) and the collection's synonym rule lines.
+inline constexpr uint32_t kOriginUnionBegin = 35;
+inline constexpr uint32_t kOriginUnionRanks = 36;
+inline constexpr uint32_t kRuleTextBegin = 37;
+inline constexpr uint32_t kRuleTextBlob = 38;
 // ClusteredIndex (src/index/clustered_index.h).
 inline constexpr uint32_t kIndexLists = 50;
 inline constexpr uint32_t kIndexLengthGroups = 51;
@@ -98,7 +109,8 @@ struct Meta {
   uint64_t min_set_size = 0;
   uint64_t max_set_size = 0;
   double avg_applicable_rules = 0.0;
-  uint8_t reserved[16] = {};
+  uint64_t num_rules = 0;  // rule lines in kRuleTextBegin/kRuleTextBlob
+  uint8_t reserved[8] = {};
 };
 static_assert(sizeof(Meta) == 64, "meta must stay 64 bytes");
 static_assert(std::is_trivially_copyable_v<Meta>);

@@ -38,8 +38,8 @@ const Crc32cTables kTables = MakeTables();
 #define AEETES_CRC32C_HW 1
 
 /// SSE4.2 `crc32` computes exactly this CRC (reflected Castagnoli).
-/// Checksumming is the dominant cost of a v2 snapshot load, so the
-/// hardware path matters: ~20 GB/s vs ~2 GB/s for slicing-by-8.
+/// Checksumming is the dominant cost of an engine-image snapshot load, so
+/// the hardware path matters: ~20 GB/s vs ~2 GB/s for slicing-by-8.
 __attribute__((target("sse4.2"))) uint32_t Crc32cHw(uint32_t crc,
                                                     const unsigned char* p,
                                                     size_t n) {

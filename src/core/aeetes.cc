@@ -53,6 +53,9 @@ Aeetes::PipelineMetrics::PipelineMetrics(MetricsRegistry& registry)
                                             "candidate pairs verified")),
       verify_matches(registry.RegisterCounter(
           "verify.matches", "pairs reaching the threshold")),
+      verify_bound_pruned(registry.RegisterCounter(
+          "verify.bound_pruned",
+          "pairs rejected by the origin-union overlap bound")),
       extract_latency_us(registry.RegisterHistogram(
           "extract.latency_us", "end-to-end Extract wall time (us)")),
       filter_latency_us(registry.RegisterHistogram(
@@ -99,9 +102,7 @@ Result<std::unique_ptr<Aeetes>> Aeetes::Build(
       DerivedDictParts parts,
       DerivedDictionary::BuildParts(std::move(entities), rules,
                                     std::move(dict), options.derivation));
-  AEETES_ASSIGN_OR_RETURN(std::unique_ptr<EngineImage> image,
-                          EngineImage::Pack(std::move(parts)));
-  return FromImage(std::move(image), options);
+  return FromParts(std::move(parts), options);
 }
 
 Result<std::unique_ptr<Aeetes>> Aeetes::BuildFromText(
@@ -119,7 +120,12 @@ Result<std::unique_ptr<Aeetes>> Aeetes::BuildFromText(
     AEETES_ASSIGN_OR_RETURN([[maybe_unused]] RuleId id,
                             rules.AddFromText(line, tokenizer, *dict));
   }
-  return Build(std::move(encoded), rules, std::move(dict), options);
+  AEETES_ASSIGN_OR_RETURN(
+      DerivedDictParts parts,
+      DerivedDictionary::BuildParts(std::move(encoded), rules,
+                                    std::move(dict), options.derivation));
+  parts.rule_lines = rule_lines;
+  return FromParts(std::move(parts), options);
 }
 
 Result<std::unique_ptr<Aeetes>> Aeetes::FromDerivedDictionary(
@@ -128,6 +134,11 @@ Result<std::unique_ptr<Aeetes>> Aeetes::FromDerivedDictionary(
     return Status::InvalidArgument("derived dictionary must be non-null");
   }
   AEETES_ASSIGN_OR_RETURN(DerivedDictParts parts, dd->ToParts());
+  return FromParts(std::move(parts), options);
+}
+
+Result<std::unique_ptr<Aeetes>> Aeetes::FromParts(DerivedDictParts parts,
+                                                  AeetesOptions options) {
   AEETES_ASSIGN_OR_RETURN(std::unique_ptr<EngineImage> image,
                           EngineImage::Pack(std::move(parts)));
   return FromImage(std::move(image), options);
@@ -297,6 +308,7 @@ Result<Aeetes::ExtractionSummary> Aeetes::ExtractIntoWithStrategy(
       }
       verify_span.AddStat("verified", result.verify_stats.verified);
       verify_span.AddStat("matched", result.verify_stats.matched);
+      verify_span.AddStat("bound_pruned", result.verify_stats.bound_pruned);
     }
   }
 
@@ -342,6 +354,7 @@ Result<Aeetes::ExtractionSummary> Aeetes::ExtractIntoWithStrategy(
   pipeline_.filter_positional_pruned.Add(fs.positional_pruned);
   pipeline_.verify_pairs.Add(result.verify_stats.verified);
   pipeline_.verify_matches.Add(result.verify_stats.matched);
+  pipeline_.verify_bound_pruned.Add(result.verify_stats.bound_pruned);
   return result;
 }
 

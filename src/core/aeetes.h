@@ -80,7 +80,8 @@ class Aeetes {
       std::unique_ptr<TokenDictionary> dict, AeetesOptions options = {});
 
   /// Offline stage from raw text: tokenizes entities and "lhs <=> rhs"
-  /// rule lines with the configured tokenizer.
+  /// rule lines with the configured tokenizer. The rule lines are stored
+  /// in the engine image, so snapshots carry them.
   static Result<std::unique_ptr<Aeetes>> BuildFromText(
       const std::vector<std::string>& entities,
       const std::vector<std::string>& rule_lines, AeetesOptions options = {});
@@ -91,7 +92,7 @@ class Aeetes {
       std::unique_ptr<DerivedDictionary> dd, AeetesOptions options = {});
 
   /// Wraps a wired engine image — heap-packed or mmap-loaded; the zero-copy
-  /// snapshot-v2 path. No index rebuild, no per-entity allocation.
+  /// snapshot path. No index rebuild, no per-entity allocation.
   static Result<std::unique_ptr<Aeetes>> FromImage(
       std::unique_ptr<EngineImage> image, AeetesOptions options = {});
 
@@ -253,6 +254,7 @@ class Aeetes {
     Counter& filter_positional_pruned;
     Counter& verify_pairs;
     Counter& verify_matches;
+    Counter& verify_bound_pruned;
     Histogram& extract_latency_us;
     Histogram& filter_latency_us;
     Histogram& verify_latency_us;
@@ -265,6 +267,10 @@ class Aeetes {
         dd_(&image_->mutable_derived_dictionary()),
         index_(&image_->index()),
         pipeline_(metrics_) {}
+
+  /// Packs offline build parts into an engine image and wraps it.
+  static Result<std::unique_ptr<Aeetes>> FromParts(DerivedDictParts parts,
+                                                   AeetesOptions options);
 
   /// Publishes offline-stage observations (derivation expansion counts,
   /// clique solver steps, index build time and sizes) as gauges.

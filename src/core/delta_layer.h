@@ -193,8 +193,9 @@ class DeltaLayer {
   };
 
   /// Creates an empty overlay for `frozen`. `rule_lines` is the rule text
-  /// the collection was created with (empty for snapshot-loaded images —
-  /// then delta entities expand under no rules). The frozen dictionary
+  /// the collection was created with — the lines stored in its engine
+  /// image (DerivedDictionary::rule_lines), so snapshot-loaded engines
+  /// expand upserts exactly as the original did. The frozen dictionary
   /// must outlive the layer.
   static Result<std::shared_ptr<DeltaLayer>> Create(
       const DerivedDictionary& frozen, std::vector<std::string> rule_lines,

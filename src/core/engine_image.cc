@@ -35,11 +35,17 @@ Result<std::unique_ptr<EngineImage>> EngineImage::Pack(DerivedDictParts parts) {
   }
 
   double pack_ms = 0.0;
+  const DerivedDictionaryBuildStats build_stats = parts.stats;
   {
     ScopedTimer timer(nullptr, &pack_ms);
     ImageBuilder builder;
     AEETES_RETURN_IF_ERROR(DerivedDictionary::AppendSections(parts, builder));
     ClusteredIndex::AppendSections(index_parts, builder);
+    // The builder holds its own copy of every section now: free the
+    // inputs before Finish lays out the image, so peak memory is two
+    // copies of the image rather than three.
+    parts = DerivedDictParts{};
+    index_parts = ClusteredIndex::Parts{};
     AEETES_ASSIGN_OR_RETURN(image->heap_, builder.Finish());
   }
 
@@ -48,7 +54,7 @@ Result<std::unique_ptr<EngineImage>> EngineImage::Pack(DerivedDictParts parts) {
     ScopedTimer timer(nullptr, &load_ms);
     AEETES_RETURN_IF_ERROR(Wire(*image, image->heap_.bytes()));
   }
-  image->dd_->set_build_stats(parts.stats);
+  image->dd_->set_build_stats(build_stats);
   image->stats_.index_ms = index_ms;
   image->stats_.pack_ms = pack_ms;
   image->stats_.load_ms = load_ms;

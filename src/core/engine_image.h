@@ -30,7 +30,7 @@ struct EngineImageStats {
 /// dictionary, origin and derived entities, size-sorted index, rank arena,
 /// clustered inverted index — plus the wired views over it (DESIGN.md
 /// §11). The arena is either a private heap buffer (Pack, the online build
-/// path) or a read-only file mapping (FromFile, the snapshot-v2 path);
+/// path) or a read-only file mapping (FromFile, the snapshot path);
 /// the wiring code is byte-for-byte the same for both, so a loaded engine
 /// is bit-identical in behavior to a freshly built one.
 ///
@@ -55,9 +55,9 @@ class EngineImage {
   /// serving views over it. Consumes `parts`.
   static Result<std::unique_ptr<EngineImage>> Pack(DerivedDictParts parts);
 
-  /// Maps a snapshot-v2 file read-only and wires views over the mapping
-  /// (zero-copy). Corrupt or truncated input yields a Status, never a
-  /// crash.
+  /// Maps an engine-image snapshot file read-only and wires views over
+  /// the mapping (zero-copy). Corrupt or truncated input yields a Status,
+  /// never a crash.
   static Result<std::unique_ptr<EngineImage>> FromFile(
       const std::string& path);
 

@@ -22,6 +22,13 @@ constexpr uint32_t kNoWindow = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
+void VerifyStats::CheckConsistent() const {
+  AEETES_CHECK_LE(bound_pruned, verified)
+      << "more pairs pruned by the union bound than verified";
+  AEETES_CHECK_LE(matched + bound_pruned, verified)
+      << "a pair was counted both as matched and as bound-pruned";
+}
+
 void VerifyCandidatesInto(std::vector<Candidate>& candidates,
                           const Document& doc, const DerivedDictionary& dd,
                           double tau, const JaccArOptions& options,
@@ -69,12 +76,14 @@ void VerifyCandidatesInto(std::vector<Candidate>& candidates,
                                              ordered_ranks.size(), tau,
                                              partner)
             : verifier.Score(c.origin, ordered_set, tau);
+    if (stats && score.bound_pruned) ++stats->bound_pruned;
     if (ScorePasses(score.score, tau)) {
       matches.push_back(Match{c.pos, c.len, c.origin, score.score,
                               score.best_derived});
       if (stats) ++stats->matched;
     }
   }
+  if (stats) stats->CheckConsistent();
 }
 
 std::vector<Match> VerifyCandidates(std::vector<Candidate> candidates,

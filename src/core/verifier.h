@@ -30,11 +30,20 @@ struct Match {
 struct VerifyStats {
   uint64_t verified = 0;
   uint64_t matched = 0;
+  /// Pairs rejected by the origin-union overlap bound without scoring any
+  /// derived entity (JaccArScore::bound_pruned).
+  uint64_t bound_pruned = 0;
+
+  /// Aborts via AEETES_CHECK_* unless matched + bound_pruned <= verified:
+  /// both count disjoint subsets of the verified pairs (a pruned pair
+  /// never matches).
+  void CheckConsistent() const;
 
   /// Aggregation across documents (mirrors FilterStats::operator+=).
   VerifyStats& operator+=(const VerifyStats& o) {
     verified += o.verified;
     matched += o.matched;
+    bound_pruned += o.bound_pruned;
     return *this;
   }
 };

@@ -13,7 +13,7 @@ namespace aeetes {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x54454541;  // "AEET" — shared by v1 and v2
+constexpr uint32_t kMagic = 0x54454541;  // "AEET" — shared by v1 and images
 constexpr uint32_t kV1Version = 1;
 
 /// Reads the 8-byte (magic, version) prologue both formats share.
@@ -193,16 +193,15 @@ Result<std::unique_ptr<Aeetes>> LoadSnapshot(const std::string& path,
   if (version == kV1Version) {
     ScopedTimer timer(nullptr, &load_ms);
     AEETES_ASSIGN_OR_RETURN(engine, LoadSnapshotV1(path, options));
-  } else if (version == kImageVersion) {
+  } else {
+    // Every other version is an engine image; ImageView::Parse refuses
+    // retired and unknown versions.
     ScopedTimer timer(nullptr, &load_ms);
     AEETES_ASSIGN_OR_RETURN(std::unique_ptr<EngineImage> image,
                             EngineImage::FromFile(path));
     AEETES_ASSIGN_OR_RETURN(engine,
                             Aeetes::FromImage(std::move(image), options));
     mmap_backed = true;
-  } else {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version));
   }
   engine->PublishSnapshotMetrics(load_ms * 1e3, FileSizeOf(path),
                                  mmap_backed);

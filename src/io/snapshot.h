@@ -9,14 +9,15 @@
 namespace aeetes {
 
 /// Persists a built extractor's offline state to a single snapshot file in
-/// the v2 "engine image" format (DESIGN.md §11): the arena bytes — token
-/// dictionary, origin/derived entities, size-sorted index, rank arena and
-/// clustered inverted index — written verbatim, with a section table and
+/// the v3 "engine image" format (DESIGN.md §11): the arena bytes — token
+/// dictionary, origin/derived entities, size-sorted index, rank arena,
+/// per-origin rank unions, synonym rule lines and clustered inverted
+/// index — written verbatim, with a section table and
 /// per-section CRC32c. Loading mmaps the file and wires views over it:
 /// no index rebuild, no per-entity allocation.
 Status SaveSnapshot(const Aeetes& aeetes, const std::string& path);
 
-/// Writes a *versioned* v2 snapshot "<dir>/<name>.v<version>.snap",
+/// Writes a *versioned* engine-image snapshot "<dir>/<name>.v<version>.snap",
 /// atomically (temp file + rename, so readers never observe a torn file)
 /// and without disturbing earlier versions — each compaction leaves the
 /// previous images behind as rollback points (load or `swap` any older
@@ -32,11 +33,13 @@ Status SaveVersionedSnapshot(const Aeetes& aeetes, const std::string& dir,
 Status SaveSnapshotV1(const Aeetes& aeetes, const std::string& path);
 
 /// Loads a snapshot written by either SaveSnapshot variant, dispatching on
-/// the version stamped in the first 8 bytes: v2 files are mmapped
+/// the version stamped in the first 8 bytes: v3 engine images are mmapped
 /// zero-copy, v1 files are parsed and repacked (index rebuild, as always
-/// for v1). `options` supplies the runtime configuration (strategy,
-/// metric, weighted, ...) — the stored state is metric-independent, so
-/// any options work with any snapshot. Publishes
+/// for v1; v1 carries no rule lines). v2 images are refused with
+/// FailedPrecondition naming the version: rebuild them from source.
+/// `options` supplies the runtime configuration (strategy, metric,
+/// weighted, ...) — the stored state is metric-independent, so any
+/// options work with any snapshot. Publishes
 /// `snapshot.{load_us,bytes,mmap}` gauges on the returned instance.
 /// Corrupt, truncated or bit-flipped input yields a Status, never a
 /// crash.

@@ -20,7 +20,7 @@ CollectionManager::~CollectionManager() {
 
 Result<std::shared_ptr<ServingEngine>> CollectionManager::Wire(
     std::string_view name, std::string source,
-    std::unique_ptr<Aeetes> aeetes, std::vector<std::string> rule_lines) {
+    std::unique_ptr<Aeetes> aeetes) {
   if (options_.enable_flight_recorder) {
     aeetes->EnableFlightRecorder(options_.flight_recorder);
   }
@@ -34,7 +34,8 @@ Result<std::shared_ptr<ServingEngine>> CollectionManager::Wire(
   AEETES_ASSIGN_OR_RETURN(
       engine->delta,
       DeltaLayer::Create(engine->aeetes->derived_dictionary(),
-                         std::move(rule_lines), delta_options));
+                         engine->aeetes->derived_dictionary().rule_lines(),
+                         delta_options));
   engine->aeetes->AttachDelta(engine->delta);
   AEETES_ASSIGN_OR_RETURN(
       engine->extractor,
@@ -61,7 +62,7 @@ Status CollectionManager::Create(std::string_view name,
                           Aeetes::BuildFromText(entities, rules,
                                                 options_.engine));
   AEETES_ASSIGN_OR_RETURN(std::shared_ptr<ServingEngine> engine,
-                          Wire(name, "build", std::move(aeetes), rules));
+                          Wire(name, "build", std::move(aeetes)));
   MutexLock lock(mu_);
   if (collections_.find(name) != collections_.end()) {
     return Status::AlreadyExists("collection '" + std::string(name) +
@@ -90,7 +91,7 @@ Status CollectionManager::Load(std::string_view name,
   AEETES_ASSIGN_OR_RETURN(std::unique_ptr<Aeetes> aeetes,
                           LoadSnapshot(path, options_.engine));
   AEETES_ASSIGN_OR_RETURN(std::shared_ptr<ServingEngine> engine,
-                          Wire(name, path, std::move(aeetes), {}));
+                          Wire(name, path, std::move(aeetes)));
   MutexLock lock(mu_);
   if (collections_.find(name) != collections_.end()) {
     return Status::AlreadyExists("collection '" + std::string(name) +
@@ -118,7 +119,7 @@ Status CollectionManager::Swap(std::string_view name,
   AEETES_ASSIGN_OR_RETURN(std::unique_ptr<Aeetes> aeetes,
                           LoadSnapshot(path, options_.engine));
   AEETES_ASSIGN_OR_RETURN(std::shared_ptr<ServingEngine> engine,
-                          Wire(name, path, std::move(aeetes), {}));
+                          Wire(name, path, std::move(aeetes)));
   std::shared_ptr<ServingEngine> retired;
   {
     MutexLock lock(mu_);
@@ -252,14 +253,13 @@ Status CollectionManager::CompactOne(const std::string& name) {
   AEETES_ASSIGN_OR_RETURN(
       DerivedDictParts parts,
       BuildCompactedParts(old_engine->aeetes->derived_dictionary(), *didx));
+  parts.rule_lines = old_engine->delta->rule_lines();
   AEETES_ASSIGN_OR_RETURN(std::unique_ptr<EngineImage> image,
                           EngineImage::Pack(std::move(parts)));
   AEETES_ASSIGN_OR_RETURN(std::unique_ptr<Aeetes> aeetes,
                           Aeetes::FromImage(std::move(image), options_.engine));
-  AEETES_ASSIGN_OR_RETURN(
-      std::shared_ptr<ServingEngine> engine,
-      Wire(name, "compact", std::move(aeetes),
-           old_engine->delta->rule_lines()));
+  AEETES_ASSIGN_OR_RETURN(std::shared_ptr<ServingEngine> engine,
+                          Wire(name, "compact", std::move(aeetes)));
 
   // Persist the rollback point before publishing: if the write fails the
   // old engine keeps serving and the compaction reports the error.

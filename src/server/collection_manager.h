@@ -90,7 +90,7 @@ class CollectionManager {
                 const std::vector<std::string>& entities,
                 const std::vector<std::string>& rules) AEETES_EXCLUDES(mu_);
 
-  /// Publishes a new collection from a snapshot file (v2 files mmap —
+  /// Publishes a new collection from a snapshot file (engine images mmap —
   /// near-instant cold start). AlreadyExists when the name is taken.
   Status Load(std::string_view name, const std::string& path)
       AEETES_EXCLUDES(mu_);
@@ -148,10 +148,12 @@ class CollectionManager {
 
  private:
   /// Wires an engine + extractor + delta overlay ready for publication.
-  /// `rule_lines` seeds the overlay (empty for snapshot-loaded images).
-  Result<std::shared_ptr<ServingEngine>> Wire(
-      std::string_view name, std::string source,
-      std::unique_ptr<Aeetes> aeetes, std::vector<std::string> rule_lines);
+  /// The overlay expands upserts under the rule lines stored in the
+  /// engine's image, so built, loaded, swapped and compacted engines of
+  /// one collection all apply the same rules.
+  Result<std::shared_ptr<ServingEngine>> Wire(std::string_view name,
+                                              std::string source,
+                                              std::unique_ptr<Aeetes> aeetes);
 
   void PublishGauge() AEETES_REQUIRES(mu_);
   /// Recomputes the aggregate delta-entity gauge over live collections.

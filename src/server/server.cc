@@ -29,6 +29,10 @@ Status ErrnoStatus(const char* what) {
 
 short PollEvents(int events) { return static_cast<short>(events); }
 
+/// Upper bound on how long a poisoned connection may hold its slot while
+/// its remaining input is drained.
+constexpr int64_t kLingerMicros = 5'000'000;
+
 std::string OkResponse() { return "{\"ok\":true}"; }
 
 std::string BuildExtractResponse(const ServingEngine& engine,
@@ -170,13 +174,24 @@ void Server::Loop() {
   std::vector<uint64_t> fd_conn;  // conn id per pollfd entry; 0 = not a conn
   while (true) {
     DrainCompletions();
+    const int64_t now_us = clock_.ElapsedMicros();
+    int timeout_ms = -1;
     for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->second.closing && Quiesced(it->second)) {
+      const Connection& conn = it->second;
+      const bool linger_over =
+          conn.lingering && (conn.closing || now_us >= conn.linger_deadline_us);
+      if (linger_over || (conn.closing && Quiesced(conn))) {
         ::close(it->second.fd);
         it = conns_.erase(it);
-      } else {
-        ++it;
+        continue;
       }
+      if (conn.lingering) {
+        const int64_t wait_ms = (conn.linger_deadline_us - now_us + 999) / 1000;
+        if (timeout_ms < 0 || wait_ms < timeout_ms) {
+          timeout_ms = static_cast<int>(wait_ms);
+        }
+      }
+      ++it;
     }
     if (draining_ && conns_.empty()) break;
 
@@ -194,15 +209,17 @@ void Server::Loop() {
       const size_t backlog = conn.outbox.size() - conn.out_off;
       // Backpressure: a peer that is not draining its responses stops
       // being read (and so stops submitting) until its backlog shrinks.
-      if (!conn.closing && backlog < options_.outbox_high_watermark) {
+      if (conn.lingering ||
+          (!conn.closing && backlog < options_.outbox_high_watermark)) {
         events |= POLLIN;
       }
-      if (backlog > 0) events |= POLLOUT;
+      if (!conn.lingering && backlog > 0) events |= POLLOUT;
       fds.push_back({conn.fd, PollEvents(events), 0});
       fd_conn.push_back(id);
     }
 
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
+    const int rc =
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       AEETES_LOG(Error) << "poll failed: " << std::strerror(errno);
@@ -288,6 +305,7 @@ bool Server::ReadReady(Connection& conn) {
   while (true) {
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
     if (n > 0) {
+      if (conn.lingering) continue;  // discard input after a bad frame
       conn.reader.Feed(buf, static_cast<size_t>(n));
       std::string payload;
       while (true) {
@@ -295,7 +313,8 @@ bool Server::ReadReady(Connection& conn) {
         if (next == FrameReader::Next::kNeedMore) break;
         if (next == FrameReader::Next::kBad) {
           bad_frames_.Increment();
-          return false;  // stream is poisoned; no resync is possible
+          BeginLinger(conn);  // stream is poisoned; no resync is possible
+          break;
         }
         HandleFrame(conn, payload);
       }
@@ -331,6 +350,15 @@ bool Server::WriteReady(Connection& conn) {
     conn.out_off = 0;
   }
   return true;
+}
+
+void Server::BeginLinger(Connection& conn) {
+  conn.lingering = true;
+  conn.linger_deadline_us = clock_.ElapsedMicros() + kLingerMicros;
+  conn.ready.clear();
+  conn.outbox.clear();
+  conn.out_off = 0;
+  (void)::shutdown(conn.fd, SHUT_WR);  // best effort: the peer reads EOF
 }
 
 void Server::HandleFrame(Connection& conn, const std::string& payload) {
@@ -528,6 +556,7 @@ void Server::DrainCompletions() {
     Connection& conn = it->second;
     AEETES_DCHECK_GT(conn.in_flight, size_t{0});
     --conn.in_flight;
+    if (conn.lingering) continue;  // nothing more is sent to this peer
     CompleteLocal(conn, completion.seq, std::move(completion.payload));
   }
 }

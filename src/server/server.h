@@ -106,6 +106,11 @@ class Server {
     std::map<uint64_t, std::string> ready;
     size_t in_flight = 0;  // batcher jobs outstanding
     bool closing = false;  // stop reading; destroy once quiesced
+    /// Poisoned by a bad frame: our side is shut down for writing and
+    /// further input is discarded until the peer closes or the deadline
+    /// passes (lingering close; see BeginLinger).
+    bool lingering = false;
+    int64_t linger_deadline_us = 0;
 
     explicit Connection(size_t max_frame_bytes) : reader(max_frame_bytes) {}
   };
@@ -128,6 +133,11 @@ class Server {
   [[nodiscard]] static bool WriteReady(Connection& conn);
   /// A closing connection with nothing left to deliver.
   [[nodiscard]] static bool Quiesced(const Connection& conn);
+  /// Drops `conn` gracefully after a bad frame: sends FIN, discards the
+  /// peer's remaining bytes and closes once it hangs up (or after
+  /// kLingerMicros). Closing with unread input would reset the peer
+  /// instead, failing its in-progress write rather than its next read.
+  void BeginLinger(Connection& conn);
   void HandleFrame(Connection& conn, const std::string& payload);
   void HandleExtract(Connection& conn, uint64_t seq, Request req);
   [[nodiscard]] std::string HandleAdmin(const Request& req);

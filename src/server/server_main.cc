@@ -15,7 +15,7 @@
 //                       callers use --port=0 without a race)
 //   --collection=NAME   name for the preloaded collection (default
 //                       "default")
-//   --snapshot=PATH     preload NAME from a snapshot (v2 files mmap)
+//   --snapshot=PATH     preload NAME from a snapshot (engine images mmap)
 //   --entities=PATH     preload NAME by offline build from an entity file
 //   --rules=PATH        synonym rules for --entities (optional)
 //   --threads=N         extractor pool threads per collection (0 = one

@@ -113,6 +113,23 @@ JaccArScore JaccArVerifier::BestAboveRanksPartner(
     while (lo != hi && static_cast<size_t>(*lo) < partner.lo) ++lo;
     while (hi != lo && static_cast<size_t>(*(hi - 1)) > partner.hi) --hi;
   }
+  // Origin-union bound. Every derived entity d in [lo, hi) is a subset of
+  // U(e), so |d ∩ s| <= |U(e) ∩ s|; its requirement RequiredOverlap(x,
+  // |d|, tau / weight(d)) is at least RequiredOverlap(x, *lo, tau), since
+  // RequiredOverlap does not decrease in y or tau and weights lie in
+  // (0, 1]. Missing that smallest requirement on the union therefore
+  // means every merge below would abort: reject with one merge.
+  if (static_cast<size_t>(hi - lo) >= DerivedDictionary::kUnionMinDerived) {
+    const Span<TokenRank> u = dd_.origin_union(e);
+    const size_t required =
+        RequiredOverlap(options_.metric, x, static_cast<size_t>(*lo), tau);
+    if (OverlapSizeAtLeastRanks(u.data(), u.size(), substring_ranks,
+                                substring_size,
+                                required) == kOverlapBelow) {
+      best.bound_pruned = true;
+      return best;
+    }
+  }
   const double dx = static_cast<double>(x);
   // Hoists RequiredOverlap's division out of the per-derived loop for the
   // common (unweighted Jaccard) configuration. The expression must stay

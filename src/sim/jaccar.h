@@ -26,6 +26,9 @@ struct JaccArScore {
   /// The derived entity realizing the maximum, or kNoDerived when no
   /// derived entity passed the length filter.
   DerivedId best_derived = kNoDerived;
+  /// True when BestAboveRanksPartner rejected the pair with the
+  /// origin-union bound alone, before scoring any derived entity.
+  bool bound_pruned = false;
 
   static constexpr DerivedId kNoDerived = static_cast<DerivedId>(-1);
 };
@@ -74,6 +77,13 @@ class JaccArVerifier {
   /// the caller: `x` is the padded substring set size and `partner` its
   /// partner length range — both constant per substring, so verification
   /// computes them once per window instead of once per candidate.
+  ///
+  /// Origin-union bound: when at least DerivedDictionary::kUnionMinDerived
+  /// derived entities pass the length filter, one early-terminating merge
+  /// of the origin's rank union U(e) against the substring first checks
+  /// that |U(e) ∩ s| reaches RequiredOverlap at the smallest admitted
+  /// size; if not, no derived entity can, and the pair is rejected with
+  /// `bound_pruned` set (DESIGN.md §10).
   JaccArScore BestAboveRanksPartner(EntityId e,
                                     const TokenRank* substring_ranks,
                                     size_t substring_size, size_t x,

@@ -194,75 +194,6 @@ Status DerivedDictionary::AppendSections(const DerivedDictParts& parts,
   }
   AEETES_RETURN_IF_ERROR(parts.dict->AppendSections(builder));
 
-  // Origin entities, flattened.
-  std::vector<uint64_t> origin_token_begin(n0 + 1);
-  std::vector<TokenId> origin_tokens;
-  for (size_t e = 0; e < n0; ++e) {
-    origin_token_begin[e] = origin_tokens.size();
-    origin_tokens.insert(origin_tokens.end(), parts.origins[e].begin(),
-                         parts.origins[e].end());
-  }
-  origin_token_begin[n0] = origin_tokens.size();
-
-  // Derived entities, flattened into parallel arrays + offset tables.
-  std::vector<EntityId> derived_origin(nd);
-  std::vector<double> derived_weight(nd);
-  std::vector<uint64_t> token_begin(nd + 1);
-  std::vector<uint64_t> set_begin(nd + 1);
-  std::vector<uint64_t> rule_begin(nd + 1);
-  std::vector<TokenId> tokens;
-  std::vector<TokenId> set_tokens;
-  std::vector<RuleId> rules;
-  for (size_t d = 0; d < nd; ++d) {
-    const DerivedEntity& de = parts.derived[d];
-    derived_origin[d] = de.origin;
-    derived_weight[d] = de.weight;
-    token_begin[d] = tokens.size();
-    tokens.insert(tokens.end(), de.tokens.begin(), de.tokens.end());
-    set_begin[d] = set_tokens.size();
-    set_tokens.insert(set_tokens.end(), de.ordered_set.begin(),
-                      de.ordered_set.end());
-    rule_begin[d] = rules.size();
-    rules.insert(rules.end(), de.applied_rules.begin(),
-                 de.applied_rules.end());
-  }
-  token_begin[nd] = tokens.size();
-  set_begin[nd] = set_tokens.size();
-  rule_begin[nd] = rules.size();
-
-  // Per-origin size-sorted index: ascending ordered-set size, ties by id
-  // (the ordering BestAbove* binary-searches).
-  std::vector<DerivedId> size_ids(nd);
-  std::iota(size_ids.begin(), size_ids.end(), DerivedId{0});
-  for (size_t e = 0; e < n0; ++e) {
-    std::sort(size_ids.begin() +
-                  static_cast<std::ptrdiff_t>(parts.origin_begin[e]),
-              size_ids.begin() +
-                  static_cast<std::ptrdiff_t>(parts.origin_begin[e + 1]),
-              [&parts](DerivedId a, DerivedId b) {
-                const size_t sa = parts.derived[a].ordered_set.size();
-                const size_t sb = parts.derived[b].ordered_set.size();
-                if (sa != sb) return sa < sb;
-                return a < b;
-              });
-  }
-  std::vector<uint32_t> size_sizes(nd);
-  for (size_t i = 0; i < nd; ++i) {
-    size_sizes[i] = static_cast<uint32_t>(
-        parts.derived[size_ids[i]].ordered_set.size());
-  }
-
-  // Materialized rank arena (ascending within each derived entity).
-  std::vector<uint64_t> ranks_begin(nd + 1);
-  std::vector<TokenRank> ranks;
-  for (size_t d = 0; d < nd; ++d) {
-    ranks_begin[d] = ranks.size();
-    for (TokenId t : parts.derived[d].ordered_set) {
-      ranks.push_back(parts.dict->Rank(t));
-    }
-  }
-  ranks_begin[nd] = ranks.size();
-
   img::Meta meta;
   meta.num_origins = n0;
   meta.num_derived = nd;
@@ -276,23 +207,170 @@ Status DerivedDictionary::AppendSections(const DerivedDictParts& parts,
   meta.min_set_size = nd == 0 ? 0 : mn;
   meta.max_set_size = mx;
   meta.avg_applicable_rules = parts.avg_applicable_rules;
+  meta.num_rules = parts.rule_lines.size();
 
   builder.AddPod(img::kMeta, meta);
-  builder.AddVector(img::kOriginTokenBegin, origin_token_begin);
-  builder.AddVector(img::kOriginTokens, origin_tokens);
-  builder.AddVector(img::kDerivedOrigin, derived_origin);
-  builder.AddVector(img::kDerivedWeight, derived_weight);
-  builder.AddVector(img::kDerivedTokenBegin, token_begin);
-  builder.AddVector(img::kDerivedTokens, tokens);
-  builder.AddVector(img::kDerivedSetBegin, set_begin);
-  builder.AddVector(img::kDerivedSetTokens, set_tokens);
-  builder.AddVector(img::kDerivedRuleBegin, rule_begin);
-  builder.AddVector(img::kDerivedRules, rules);
   builder.AddVector(img::kOriginDerivedBegin, parts.origin_begin);
-  builder.AddVector(img::kSizeSortedIds, size_ids);
-  builder.AddVector(img::kSizeSortedSizes, size_sizes);
-  builder.AddVector(img::kRanksBegin, ranks_begin);
-  builder.AddVector(img::kRanksArena, ranks);
+
+  // Each group's flattened arrays are freed as soon as the builder holds
+  // its copy, so packing never keeps two copies of every section alive.
+  {
+    // Origin entities, flattened.
+    std::vector<uint64_t> origin_token_begin(n0 + 1);
+    std::vector<TokenId> origin_tokens;
+    for (size_t e = 0; e < n0; ++e) {
+      origin_token_begin[e] = origin_tokens.size();
+      origin_tokens.insert(origin_tokens.end(), parts.origins[e].begin(),
+                           parts.origins[e].end());
+    }
+    origin_token_begin[n0] = origin_tokens.size();
+    builder.AddVector(img::kOriginTokenBegin, origin_token_begin);
+    builder.AddVector(img::kOriginTokens, origin_tokens);
+  }
+  {
+    // Derived entities, flattened into parallel arrays + offset tables.
+    std::vector<EntityId> derived_origin(nd);
+    std::vector<double> derived_weight(nd);
+    std::vector<uint64_t> token_begin(nd + 1);
+    std::vector<uint64_t> set_begin(nd + 1);
+    std::vector<uint64_t> rule_begin(nd + 1);
+    std::vector<TokenId> tokens;
+    std::vector<TokenId> set_tokens;
+    std::vector<RuleId> rules;
+    for (size_t d = 0; d < nd; ++d) {
+      const DerivedEntity& de = parts.derived[d];
+      derived_origin[d] = de.origin;
+      derived_weight[d] = de.weight;
+      token_begin[d] = tokens.size();
+      tokens.insert(tokens.end(), de.tokens.begin(), de.tokens.end());
+      set_begin[d] = set_tokens.size();
+      set_tokens.insert(set_tokens.end(), de.ordered_set.begin(),
+                        de.ordered_set.end());
+      rule_begin[d] = rules.size();
+      rules.insert(rules.end(), de.applied_rules.begin(),
+                   de.applied_rules.end());
+    }
+    token_begin[nd] = tokens.size();
+    set_begin[nd] = set_tokens.size();
+    rule_begin[nd] = rules.size();
+    builder.AddVector(img::kDerivedOrigin, derived_origin);
+    builder.AddVector(img::kDerivedWeight, derived_weight);
+    builder.AddVector(img::kDerivedTokenBegin, token_begin);
+    builder.AddVector(img::kDerivedTokens, tokens);
+    builder.AddVector(img::kDerivedSetBegin, set_begin);
+    builder.AddVector(img::kDerivedSetTokens, set_tokens);
+    builder.AddVector(img::kDerivedRuleBegin, rule_begin);
+    builder.AddVector(img::kDerivedRules, rules);
+  }
+  {
+    // Per-origin size-sorted index: ascending ordered-set size, ties by id
+    // (the ordering BestAbove* binary-searches).
+    std::vector<DerivedId> size_ids(nd);
+    std::iota(size_ids.begin(), size_ids.end(), DerivedId{0});
+    for (size_t e = 0; e < n0; ++e) {
+      std::sort(size_ids.begin() +
+                    static_cast<std::ptrdiff_t>(parts.origin_begin[e]),
+                size_ids.begin() +
+                    static_cast<std::ptrdiff_t>(parts.origin_begin[e + 1]),
+                [&parts](DerivedId a, DerivedId b) {
+                  const size_t sa = parts.derived[a].ordered_set.size();
+                  const size_t sb = parts.derived[b].ordered_set.size();
+                  if (sa != sb) return sa < sb;
+                  return a < b;
+                });
+    }
+    std::vector<uint32_t> size_sizes(nd);
+    for (size_t i = 0; i < nd; ++i) {
+      size_sizes[i] = static_cast<uint32_t>(
+          parts.derived[size_ids[i]].ordered_set.size());
+    }
+    builder.AddVector(img::kSizeSortedIds, size_ids);
+    builder.AddVector(img::kSizeSortedSizes, size_sizes);
+  }
+  {
+    // Materialized rank arena (ascending within each derived entity).
+    std::vector<uint64_t> ranks_begin(nd + 1);
+    std::vector<TokenRank> ranks;
+    for (size_t d = 0; d < nd; ++d) {
+      ranks_begin[d] = ranks.size();
+      for (TokenId t : parts.derived[d].ordered_set) {
+        ranks.push_back(parts.dict->Rank(t));
+      }
+    }
+    ranks_begin[nd] = ranks.size();
+
+    // Per-origin rank union U(e), merged from the already-ascending rank
+    // runs of the origin's derived entities (no re-sort). Derived entities
+    // of one origin share most tokens, so a per-token stamp of the current
+    // origin picks each run's ranks not yet in U(e) (still ascending) and
+    // only those are merged in, backwards, in place. A first pass counts
+    // each union's distinct tokens so the arena is allocated once at its
+    // exact size. Origins below kUnionMinDerived keep an empty union: the
+    // verifier never consults it.
+    std::vector<uint32_t> stamp(parts.dict->size(), 0);
+    uint32_t mark = 0;
+    const auto has_union = [&parts](size_t e) {
+      return parts.origin_begin[e + 1] - parts.origin_begin[e] >=
+             kUnionMinDerived;
+    };
+    std::vector<uint64_t> union_begin(n0 + 1);
+    uint64_t union_size = 0;
+    for (size_t e = 0; e < n0; ++e) {
+      union_begin[e] = union_size;
+      if (!has_union(e)) continue;
+      ++mark;
+      for (size_t d = parts.origin_begin[e]; d < parts.origin_begin[e + 1];
+           ++d) {
+        for (const TokenId t : parts.derived[d].ordered_set) {
+          if (stamp[t] != mark) {
+            stamp[t] = mark;
+            ++union_size;
+          }
+        }
+      }
+    }
+    union_begin[n0] = union_size;
+    std::vector<TokenRank> union_ranks(union_size);
+    std::vector<TokenRank> fresh;
+    for (size_t e = 0; e < n0; ++e) {
+      if (!has_union(e)) continue;
+      ++mark;
+      TokenRank* u = union_ranks.data() + union_begin[e];
+      size_t len = 0;
+      for (size_t d = parts.origin_begin[e]; d < parts.origin_begin[e + 1];
+           ++d) {
+        const TokenSeq& set = parts.derived[d].ordered_set;
+        fresh.clear();
+        for (size_t i = 0; i < set.size(); ++i) {
+          if (stamp[set[i]] == mark) continue;
+          stamp[set[i]] = mark;
+          fresh.push_back(ranks[ranks_begin[d] + i]);
+        }
+        size_t i = len;
+        size_t j = fresh.size();
+        len += fresh.size();
+        for (size_t k = len; j > 0;) {
+          u[--k] = (i > 0 && u[i - 1] > fresh[j - 1]) ? u[--i] : fresh[--j];
+        }
+      }
+    }
+    builder.AddVector(img::kRanksBegin, ranks_begin);
+    builder.AddVector(img::kRanksArena, ranks);
+    builder.AddVector(img::kOriginUnionBegin, union_begin);
+    builder.AddVector(img::kOriginUnionRanks, union_ranks);
+  }
+  {
+    // Rule lines, flattened like the dictionary's token texts.
+    std::vector<uint64_t> rule_text_begin;
+    std::vector<char> rule_text;
+    for (const std::string& line : parts.rule_lines) {
+      rule_text_begin.push_back(rule_text.size());
+      rule_text.insert(rule_text.end(), line.begin(), line.end());
+    }
+    rule_text_begin.push_back(rule_text.size());
+    builder.AddVector(img::kRuleTextBegin, rule_text_begin);
+    builder.AddVector(img::kRuleTextBlob, rule_text);
+  }
   return Status::OK();
 }
 
@@ -370,6 +448,14 @@ Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::WireFromImage(
                           view.array<uint64_t>(img::kRanksBegin));
   AEETES_ASSIGN_OR_RETURN(dd->ranks_arena_,
                           view.array<TokenRank>(img::kRanksArena));
+  AEETES_ASSIGN_OR_RETURN(dd->union_begin_,
+                          view.array<uint64_t>(img::kOriginUnionBegin));
+  AEETES_ASSIGN_OR_RETURN(dd->union_ranks_,
+                          view.array<TokenRank>(img::kOriginUnionRanks));
+  AEETES_ASSIGN_OR_RETURN(dd->rule_text_begin_,
+                          view.array<uint64_t>(img::kRuleTextBegin));
+  AEETES_ASSIGN_OR_RETURN(dd->rule_text_,
+                          view.array<char>(img::kRuleTextBlob));
 
   // Shape checks: every offset table well-formed, every id in range. The
   // serving path subscripts these spans with at most debug-only checks, so
@@ -386,6 +472,13 @@ Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::WireFromImage(
   AEETES_RETURN_IF_ERROR(CheckBeginTable(dd->derived_rule_begin_, nd,
                                          dd->derived_rules_.size(),
                                          "applied rule"));
+  AEETES_RETURN_IF_ERROR(CheckBeginTable(dd->union_begin_, n0,
+                                         dd->union_ranks_.size(),
+                                         "origin union"));
+  AEETES_RETURN_IF_ERROR(
+      CheckBeginTable(dd->rule_text_begin_,
+                      static_cast<size_t>(meta.num_rules),
+                      dd->rule_text_.size(), "rule text"));
   if (dd->derived_origin_.size() != nd || dd->derived_weight_.size() != nd ||
       dd->size_sorted_ids_.size() != nd ||
       dd->size_sorted_sizes_.size() != nd) {
@@ -440,6 +533,10 @@ Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::WireFromImage(
     for (size_t i = 0; i < set_size; ++i) {
       const TokenId t = dd->derived_set_tokens_[set_begin + i];
       const TokenRank r = dd->ranks_arena_[rank_begin + i];
+      if (t >= token_count) {
+        return Status::IOError("engine image: ordered-set token out of "
+                               "range");
+      }
       if (r != dict->Rank(t)) {
         return Status::IOError("engine image: rank arena disagrees with "
                                "dictionary");
@@ -482,6 +579,41 @@ Result<std::unique_ptr<DerivedDictionary>> DerivedDictionary::WireFromImage(
         if (prev_sz > sz || (prev_sz == sz && prev_id >= id)) {
           return Status::IOError("engine image: size index not sorted");
         }
+      }
+    }
+  }
+
+  // Origin unions: strictly ascending valid token ranks and, wherever the
+  // verifier may consult them (kUnionMinDerived or more derived entities),
+  // a superset of every derived entity's ranks, so the union bound never
+  // rejects a pair some derived entity would pass. Extra ranks only weaken
+  // the bound; missing ones would silently drop true matches. Containment
+  // is checked in one pass with a per-token stamp of the current origin
+  // (a rank's low 32 bits are its token id; see TokenDictionary::Rank).
+  std::vector<uint32_t> stamp(token_count, 0);
+  for (size_t e = 0; e < n0; ++e) {
+    const uint32_t mark = static_cast<uint32_t>(e) + 1;
+    const Span<TokenRank> u = dd->origin_union(static_cast<EntityId>(e));
+    for (size_t i = 0; i < u.size(); ++i) {
+      if (i > 0 && u[i] <= u[i - 1]) {
+        return Status::IOError("engine image: origin union not strictly "
+                               "ascending");
+      }
+      const TokenId t = static_cast<TokenId>(u[i]);
+      if (t >= token_count || dict->Rank(t) != u[i]) {
+        return Status::IOError("engine image: origin union holds an "
+                               "invalid rank");
+      }
+      stamp[t] = mark;
+    }
+    if (dd->origin_begin_[e + 1] - dd->origin_begin_[e] < kUnionMinDerived) {
+      continue;
+    }
+    for (size_t i = dd->derived_set_begin_[dd->origin_begin_[e]];
+         i < dd->derived_set_begin_[dd->origin_begin_[e + 1]]; ++i) {
+      if (stamp[dd->derived_set_tokens_[i]] != mark) {
+        return Status::IOError("engine image: origin union misses a "
+                               "derived entity's rank");
       }
     }
   }
@@ -531,8 +663,20 @@ Result<DerivedDictParts> DerivedDictionary::ToParts() const {
   dict->Freeze();
   parts.dict = std::move(dict);
   parts.avg_applicable_rules = avg_applicable_rules_;
+  parts.rule_lines = rule_lines();
   parts.stats = build_stats_;
   return parts;
+}
+
+std::vector<std::string> DerivedDictionary::rule_lines() const {
+  std::vector<std::string> lines;
+  lines.reserve(rule_text_begin_.size() - 1);
+  for (size_t i = 0; i + 1 < rule_text_begin_.size(); ++i) {
+    const Span<char> text = SliceU64(rule_text_, rule_text_begin_,
+                                     static_cast<uint32_t>(i));
+    lines.emplace_back(text.begin(), text.end());
+  }
+  return lines;
 }
 
 }  // namespace aeetes

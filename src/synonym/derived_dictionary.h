@@ -80,6 +80,11 @@ struct DerivedDictParts {
   std::vector<DerivedId> origin_begin;  // origins.size() + 1
   std::unique_ptr<TokenDictionary> dict;  // frozen
   double avg_applicable_rules = 0.0;
+  /// The "lhs <=> rhs" rule lines the collection was built with, stored
+  /// verbatim in the image so a loaded engine expands live upserts under
+  /// the same rules. Empty for engines built from pre-encoded rules and
+  /// for v1 snapshots, which carry none.
+  std::vector<std::string> rule_lines;
   DerivedDictionaryBuildStats stats;
 };
 
@@ -126,8 +131,9 @@ class DerivedDictionary {
       std::unique_ptr<TokenDictionary> dict, double avg_applicable_rules);
 
   /// Flattens `parts` into image sections: the dictionary sections, every
-  /// derived-dictionary section (including the size-sorted index and the
-  /// rank arena, recomputed deterministically) and the img::kMeta record.
+  /// derived-dictionary section (including the size-sorted index, the
+  /// rank arena and the per-origin rank unions, recomputed
+  /// deterministically), the rule lines and the img::kMeta record.
   static Status AppendSections(const DerivedDictParts& parts,
                                ImageBuilder& builder);
 
@@ -137,6 +143,10 @@ class DerivedDictionary {
   /// ordering, rank-arena agreement, size-index permutation — so release
   /// builds can serve hostile snapshots without risking out-of-bounds
   /// reads. `dict` must be the TokenDictionary wired over the same view.
+  /// Each origin's rank union must be strictly ascending and, for origins
+  /// with at least kUnionMinDerived derived entities, contain every rank
+  /// of them: a union missing a rank would let the verifier's overlap
+  /// bound drop true matches.
   static Result<std::unique_ptr<DerivedDictionary>> WireFromImage(
       const ImageView& view, std::unique_ptr<TokenDictionary> dict);
 
@@ -203,6 +213,23 @@ class DerivedDictionary {
     return ranks_arena_.data() + ranks_begin_[d];
   }
 
+  /// The verifier's origin-union bound runs only when at least this many
+  /// derived entities survive its length filter: with one or two, the
+  /// union merge costs about as much as the merges it could save. Origins
+  /// with fewer derived entities therefore store an empty union.
+  static constexpr size_t kUnionMinDerived = 3;
+
+  /// Sorted, de-duplicated union of the ranks of every derived entity of
+  /// origin `e`: U(e) ⊇ each derived_ranks(d), so |U(e) ∩ s| bounds every
+  /// derived entity's overlap with s (the verifier's one-merge rejection).
+  /// Empty when `e` has fewer than kUnionMinDerived derived entities.
+  [[nodiscard]] Span<TokenRank> origin_union(EntityId e) const {
+    return SliceU64(union_ranks_, union_begin_, e);
+  }
+
+  /// The rule lines stored in the image (see DerivedDictParts).
+  [[nodiscard]] std::vector<std::string> rule_lines() const;
+
   /// Smallest / largest ordered-set size over all derived entities.
   [[nodiscard]] size_t min_set_size() const { return min_set_size_; }
   [[nodiscard]] size_t max_set_size() const { return max_set_size_; }
@@ -257,6 +284,10 @@ class DerivedDictionary {
   Span<uint32_t> size_sorted_sizes_;
   Span<uint64_t> ranks_begin_;  // num_derived + 1
   Span<TokenRank> ranks_arena_;
+  Span<uint64_t> union_begin_;  // num_origins + 1
+  Span<TokenRank> union_ranks_;
+  Span<uint64_t> rule_text_begin_;  // num_rules + 1
+  Span<char> rule_text_;
 
   size_t num_origins_ = 0;
   size_t num_derived_ = 0;

@@ -48,7 +48,7 @@ class CollectionManagerTest : public testing::Test {
     std::filesystem::remove(snap_path_, ec);
   }
 
-  /// Builds a manager with one collection "inst" and writes a v2 snapshot
+  /// Builds a manager with one collection "inst" and writes a snapshot
   /// of its engine to snap_path_, so Load/Swap have something to map.
   std::unique_ptr<CollectionManager> ManagerWithSnapshot() {
     auto manager = std::unique_ptr<CollectionManager>(
@@ -344,6 +344,44 @@ TEST_F(CollectionManagerTest, CompactionSwapsInCompactedEngine) {
     EXPECT_TRUE(Contains(
         ExtractTexts(**rollback, "stanford university", /*tau=*/0.9),
         "stanford university"));
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+/// Snapshot-loaded collections keep their synonym rules: the rule lines
+/// live in the engine image, so a collection loaded (or swapped) from a
+/// compacted snapshot expands upserts exactly as the collection that wrote
+/// it. ("a.v2.snap" is collection version 2, not image format 2.)
+TEST_F(CollectionManagerTest, SnapshotLoadedCollectionKeepsRules) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("aeetes_cm_rules_" + std::to_string(::getpid())))
+                        .string();
+  std::filesystem::create_directories(dir);
+  CollectionManager::Options options;
+  options.snapshot_dir = dir;
+  {
+    CollectionManager manager{options};
+    ASSERT_TRUE(manager.Create("a", kEntities, kRules).ok());
+    ASSERT_TRUE(manager.Compact("a").ok());
+    ASSERT_TRUE(WaitForVersion(manager, "a", 2));
+    const std::string snap = dir + "/a.v2.snap";
+    ASSERT_TRUE(manager.Load("b", snap).ok());
+    // Swap replaces an engine built without rules by the same snapshot.
+    ASSERT_TRUE(manager.Create("c", kEntities, {}).ok());
+    ASSERT_TRUE(manager.Swap("c", snap).ok());
+
+    const std::string text = "massachusetts institute of technology media lab";
+    std::vector<std::vector<std::string>> hits;
+    for (const char* name : {"a", "b", "c"}) {
+      ASSERT_TRUE(manager.UpsertEntities(name, {"mit media lab"}).ok());
+      auto engine = manager.Acquire(name);
+      ASSERT_TRUE(engine.ok());
+      hits.push_back(ExtractTexts(**engine, text, /*tau=*/0.8));
+    }
+    EXPECT_TRUE(Contains(hits[0], "mit media lab"));
+    EXPECT_EQ(hits[1], hits[0]) << "loaded collection lost its rules";
+    EXPECT_EQ(hits[2], hits[0]) << "swapped collection lost its rules";
   }
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -300,6 +301,167 @@ TEST(EngineImageTest, RejectsStructurallyInvalidImages) {
   ASSERT_TRUE(buf.ok());
   auto image = EngineImage::FromBuffer(std::move(*buf));
   EXPECT_FALSE(image.ok());
+}
+
+/// Re-lays `image` with section `id` replaced by `payload` (every other
+/// section copied verbatim), so checksums stay valid and only the
+/// semantic validation in WireFromImage can reject the result.
+template <typename T>
+AlignedBuffer ReplaceSection(Span<uint8_t> image, uint32_t id,
+                             const std::vector<T>& payload) {
+  ImageHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  ImageBuilder builder;
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    SectionEntry e;
+    std::memcpy(&e, image.data() + sizeof(header) + i * sizeof(e),
+                sizeof(e));
+    if (e.id == id) {
+      builder.AddVector(id, payload);
+    } else {
+      builder.Add(e.id, e.elem_size, image.data() + e.offset,
+                  static_cast<size_t>(e.length));
+    }
+  }
+  auto buf = builder.Finish();
+  AEETES_CHECK(buf.ok());
+  return std::move(*buf);
+}
+
+template <typename T>
+std::vector<T> SectionCopy(Span<uint8_t> image, uint32_t id) {
+  auto view = ImageView::Parse(image);
+  AEETES_CHECK(view.ok());
+  auto span = view->array<T>(id);
+  AEETES_CHECK(span.ok());
+  return std::vector<T>(span->begin(), span->end());
+}
+
+/// The origin-union sections feed the verifier's rejection bound, so a
+/// hostile image must not be able to shrink or scramble them. Each case
+/// breaks exactly one validation rule of DerivedDictionary::WireFromImage.
+class OriginUnionFirewallTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    std::mt19937_64 rng(20261017);
+    testutil::RandomWorld world = testutil::MakeRandomWorld(rng);
+    auto parts = world.dd->ToParts();
+    ASSERT_TRUE(parts.ok()) << parts.status();
+    parts->rule_lines = {"tok1 <=> tok2 tok3"};
+    auto packed = EngineImage::Pack(std::move(*parts));
+    ASSERT_TRUE(packed.ok()) << packed.status();
+    const Span<uint8_t> bytes = (*packed)->bytes();
+    image_.assign(bytes.begin(), bytes.end());
+    begin_ = SectionCopy<uint64_t>(this->bytes(), img::kOriginUnionBegin);
+    ranks_ = SectionCopy<TokenRank>(this->bytes(), img::kOriginUnionRanks);
+    // An origin whose union has at least two ranks, for the cases that
+    // edit one union in place.
+    for (size_t e = 0; e + 1 < begin_.size(); ++e) {
+      if (begin_[e + 1] - begin_[e] >= 2) {
+        wide_ = e;
+        break;
+      }
+    }
+    ASSERT_GE(begin_[wide_ + 1] - begin_[wide_], 2u);
+  }
+
+  Span<uint8_t> bytes() const {
+    return Span<uint8_t>(image_.data(), image_.size());
+  }
+
+  /// Wires `buffer` and expects an IOError whose message names `what`.
+  static void ExpectRejected(AlignedBuffer buffer, const std::string& what) {
+    auto image = EngineImage::FromBuffer(std::move(buffer));
+    ASSERT_FALSE(image.ok()) << "accepted an image with " << what;
+    EXPECT_EQ(image.status().code(), StatusCode::kIOError);
+    EXPECT_NE(image.status().message().find(what), std::string::npos)
+        << image.status();
+  }
+
+  std::vector<uint8_t> image_;
+  std::vector<uint64_t> begin_;
+  std::vector<TokenRank> ranks_;
+  size_t wide_ = 0;
+};
+
+TEST_F(OriginUnionFirewallTest, PristineImageWiresAndCarriesRules) {
+  AlignedBuffer copy = ReplaceSection(bytes(), img::kOriginUnionBegin, begin_);
+  auto image = EngineImage::FromBuffer(std::move(copy));
+  ASSERT_TRUE(image.ok()) << image.status();
+  const DerivedDictionary& dd = (*image)->derived_dictionary();
+  EXPECT_EQ(dd.rule_lines(),
+            std::vector<std::string>({"tok1 <=> tok2 tok3"}));
+  // Each union is exactly the union of its derived entities' ranks, or
+  // empty where the verifier never consults it.
+  for (EntityId e = 0; e < dd.num_origins(); ++e) {
+    std::vector<TokenRank> expect;
+    const auto [begin, end] = dd.DerivedRange(e);
+    if (end - begin < DerivedDictionary::kUnionMinDerived) {
+      EXPECT_EQ(dd.origin_union(e).size(), 0u) << e;
+      continue;
+    }
+    for (DerivedId d = begin; d < end; ++d) {
+      expect.insert(expect.end(), dd.derived_ranks(d),
+                    dd.derived_ranks(d) + dd.ordered_set_size(d));
+    }
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    const Span<TokenRank> u = dd.origin_union(e);
+    EXPECT_EQ(std::vector<TokenRank>(u.begin(), u.end()), expect) << e;
+  }
+}
+
+TEST_F(OriginUnionFirewallTest, RejectsWrongEntryCount) {
+  std::vector<uint64_t> begin = begin_;
+  begin.erase(begin.begin() + 1);  // num_origins entries, not + 1
+  ExpectRejected(ReplaceSection(bytes(), img::kOriginUnionBegin, begin),
+                 "origin union table has wrong size");
+}
+
+TEST_F(OriginUnionFirewallTest, RejectsNonMonotoneOffsets) {
+  std::vector<uint64_t> begin = begin_;
+  ASSERT_GE(begin.size(), 3u);
+  begin[1] = begin[2] + 1;  // first and last entries stay intact
+  ExpectRejected(ReplaceSection(bytes(), img::kOriginUnionBegin, begin),
+                 "origin union table not monotonic");
+}
+
+TEST_F(OriginUnionFirewallTest, RejectsUnionNotStrictlyAscending) {
+  std::vector<TokenRank> ranks = ranks_;
+  ranks[begin_[wide_] + 1] = ranks[begin_[wide_]];  // a duplicate
+  ExpectRejected(ReplaceSection(bytes(), img::kOriginUnionRanks, ranks),
+                 "origin union not strictly ascending");
+}
+
+TEST_F(OriginUnionFirewallTest, RejectsUnionMissingADerivedRank) {
+  // Drop the first rank of one union and shift the later offsets: still
+  // well-formed and ascending, but too small — the case that would
+  // silently drop true matches.
+  std::vector<TokenRank> ranks = ranks_;
+  ranks.erase(ranks.begin() + static_cast<std::ptrdiff_t>(begin_[wide_]));
+  std::vector<uint64_t> begin = begin_;
+  for (size_t e = wide_ + 1; e < begin.size(); ++e) --begin[e];
+  AlignedBuffer step = ReplaceSection(bytes(), img::kOriginUnionRanks, ranks);
+  ExpectRejected(ReplaceSection(step.bytes(), img::kOriginUnionBegin, begin),
+                 "origin union misses a derived entity's rank");
+}
+
+// The union containment check indexes a per-token array by ordered-set
+// token, so those tokens must be range-checked first.
+TEST_F(OriginUnionFirewallTest, RejectsOrderedSetTokenOutOfRange) {
+  std::vector<TokenId> set_tokens =
+      SectionCopy<TokenId>(bytes(), img::kDerivedSetTokens);
+  set_tokens[0] = 0xFFFFFF00u;
+  ExpectRejected(ReplaceSection(bytes(), img::kDerivedSetTokens, set_tokens),
+                 "ordered-set token out of range");
+}
+
+TEST_F(OriginUnionFirewallTest, RejectsRulesTableNotCoveringText) {
+  std::vector<uint64_t> rule_begin =
+      SectionCopy<uint64_t>(bytes(), img::kRuleTextBegin);
+  ++rule_begin.back();
+  ExpectRejected(ReplaceSection(bytes(), img::kRuleTextBegin, rule_begin),
+                 "rule text table");
 }
 
 }  // namespace

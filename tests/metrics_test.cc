@@ -269,11 +269,13 @@ TEST(StatsMergeTest, FilterStatsAccumulateAndStayConsistent) {
 }
 
 TEST(StatsMergeTest, VerifyStatsAccumulate) {
-  VerifyStats a{.verified = 7, .matched = 2};
-  VerifyStats b{.verified = 3, .matched = 1};
+  VerifyStats a{.verified = 7, .matched = 2, .bound_pruned = 4};
+  VerifyStats b{.verified = 3, .matched = 1, .bound_pruned = 1};
   a += b;
   EXPECT_EQ(a.verified, 10u);
   EXPECT_EQ(a.matched, 3u);
+  EXPECT_EQ(a.bound_pruned, 5u);
+  a.CheckConsistent();
 }
 
 std::vector<std::string> ReadLines(const std::string& path) {
@@ -337,6 +339,8 @@ TEST(PipelineTraceTest, TraceAgreesWithReturnedStatsAndRegistry) {
     EXPECT_EQ(SpanStat(*filter, "candidates"), fs.candidates);
     EXPECT_EQ(SpanStat(*verify, "verified"), result->verify_stats.verified);
     EXPECT_EQ(SpanStat(*verify, "matched"), result->verify_stats.matched);
+    EXPECT_EQ(SpanStat(*verify, "bound_pruned"),
+              result->verify_stats.bound_pruned);
 
     // Stage spans are contained in — and roughly account for — the root.
     EXPECT_GE(extract->elapsed_ms + 1e-3,
@@ -350,7 +354,10 @@ TEST(PipelineTraceTest, TraceAgreesWithReturnedStatsAndRegistry) {
   const Counter* windows = aeetes->metrics().FindCounter("filter.windows");
   const Counter* pairs = aeetes->metrics().FindCounter("verify.pairs");
   const Counter* matches = aeetes->metrics().FindCounter("verify.matches");
+  const Counter* pruned =
+      aeetes->metrics().FindCounter("verify.bound_pruned");
   ASSERT_NE(calls, nullptr);
+  ASSERT_NE(pruned, nullptr);
   ASSERT_NE(windows, nullptr);
   ASSERT_NE(pairs, nullptr);
   ASSERT_NE(matches, nullptr);
@@ -358,7 +365,9 @@ TEST(PipelineTraceTest, TraceAgreesWithReturnedStatsAndRegistry) {
   EXPECT_EQ(windows->value(), total_filter.windows);
   EXPECT_EQ(pairs->value(), total_verify.verified);
   EXPECT_EQ(matches->value(), total_verify.matched);
+  EXPECT_EQ(pruned->value(), total_verify.bound_pruned);
   total_filter.CheckConsistent();
+  total_verify.CheckConsistent();
 
   const Histogram* latency =
       aeetes->metrics().FindHistogram("extract.latency_us");

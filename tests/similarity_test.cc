@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include "src/text/token_set.h"
 
@@ -122,6 +123,37 @@ TEST(RequiredOverlapTest, OverlapBelowThresholdImpliesDissimilar) {
         const double sim =
             SetSimilarity(Metric::kJaccard, std::min({t - 1, x, y}), x, y);
         EXPECT_LT(sim, tau) << "x=" << x << " y=" << y << " tau=" << tau;
+      }
+    }
+  }
+}
+
+// The verifier's origin-union bound compares the union against the
+// requirement at the smallest admitted derived size and the unweighted
+// threshold, so it is sound only if RequiredOverlap never decreases in y
+// (larger derived entities) or in tau (tau / weight for weights in (0, 1]).
+TEST(RequiredOverlapTest, NonDecreasingInSizeAndThreshold) {
+  const Metric metrics[] = {Metric::kJaccard, Metric::kCosine, Metric::kDice,
+                            Metric::kOverlap};
+  std::vector<double> taus;
+  for (int i = 1; i <= 40; ++i) taus.push_back(i / 40.0);
+  for (double tau : {0.33, 0.67, 0.77, 0.85, 0.95}) taus.push_back(tau);
+  const double weights[] = {1.0, 0.99, 0.9, 0.8, 0.75, 0.5};
+  for (const Metric m : metrics) {
+    for (const double tau : taus) {
+      for (size_t x = 1; x <= 64; ++x) {
+        for (size_t y = 1; y < 64; ++y) {
+          ASSERT_LE(RequiredOverlap(m, x, y, tau),
+                    RequiredOverlap(m, x, y + 1, tau))
+              << MetricName(m) << " x=" << x << " y=" << y << " tau=" << tau;
+          for (const double w : weights) {
+            if (tau / w > 1.0) continue;  // the verifier skips these
+            ASSERT_LE(RequiredOverlap(m, x, y, tau),
+                      RequiredOverlap(m, x, y, tau / w))
+                << MetricName(m) << " x=" << x << " y=" << y
+                << " tau=" << tau << " w=" << w;
+          }
+        }
       }
     }
   }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <vector>
 
+#include "src/common/arena.h"
+#include "src/core/engine_image.h"
 #include "src/datagen/generator.h"
 #include "src/datagen/profile.h"
 #include "src/io/binary_stream.h"
@@ -213,6 +216,48 @@ TEST_F(SnapshotTest, RejectsUnsupportedVersion) {
   WriteFileBytes(path_, bytes);
   auto loaded = LoadSnapshot(path_);
   EXPECT_FALSE(loaded.ok());
+}
+
+/// Format v2 images lack the origin-union and rule-line sections; they
+/// are refused with a typed error naming the version, not served.
+TEST_F(SnapshotTest, RejectsRetiredImageVersionByName) {
+  auto built = Aeetes::BuildFromText({"alpha beta"}, {});
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(SaveSnapshot(**built, path_).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path_);
+  ASSERT_GE(bytes.size(), 8u);
+  bytes[4] = 2;  // version field, little-endian low byte
+  WriteFileBytes(path_, bytes);
+  auto loaded = LoadSnapshot(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("version 2"), std::string::npos)
+      << loaded.status();
+
+  AlignedBuffer buffer(bytes.size());
+  std::memcpy(buffer.data(), bytes.data(), bytes.size());
+  auto image = EngineImage::FromBuffer(std::move(buffer));
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.status().code(), StatusCode::kFailedPrecondition);
+}
+
+/// The checked-in format-v2 fuzz seeds stay as must-reject inputs.
+TEST_F(SnapshotTest, RetiredV2FuzzSeedsAreRejected) {
+  const std::string dir = std::string(AEETES_FUZZ_CORPUS_DIR) + "/snapshot";
+  size_t seeds = 0;
+  for (const char* name : {"tiny_v2.bin", "truncated_v2.bin",
+                           "bitflip_v2.bin"}) {
+    const std::string path = dir + "/" + name;
+    if (!std::filesystem::exists(path)) continue;
+    ++seeds;
+    auto loaded = LoadSnapshot(path);
+    EXPECT_FALSE(loaded.ok()) << name;
+  }
+  if (seeds == 0) GTEST_SKIP() << "fuzz corpus not found at " << dir;
+  // The intact seed names its version in a typed error.
+  auto tiny = LoadSnapshot(dir + "/tiny_v2.bin");
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(SnapshotTest, RejectsTruncatedFile) {

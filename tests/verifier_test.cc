@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "src/baseline/brute_force.h"
 #include "src/core/candidate_generator.h"
@@ -13,6 +15,7 @@ namespace aeetes {
 namespace {
 
 using testutil::MakeRandomWorld;
+using testutil::RandomWorld;
 using testutil::Sorted;
 
 TEST(ScorePassesTest, EpsilonGuard) {
@@ -133,6 +136,142 @@ TEST(VerifierTest, FirstCandidateAtPositionZeroIsVerified) {
     EXPECT_EQ(matches[0].entity, 0u);
     EXPECT_DOUBLE_EQ(matches[0].score, 1.0);
   }
+}
+
+/// A rule-rich world: every rule rewrites a contiguous piece of some
+/// entity (so rules apply and origins fan out into many derived
+/// entities), optionally with weights in (0, 1], and the document plants
+/// derived entities among noise so matches occur.
+RandomWorld MakeRuleRichWorld(std::mt19937_64& rng, bool weighted) {
+  auto dict = std::make_unique<TokenDictionary>();
+  std::vector<TokenId> ids;
+  for (size_t i = 0; i < 24; ++i) {
+    ids.push_back(dict->GetOrAdd(testutil::NumberedName("tok", i)));
+  }
+  auto rand_tok = [&]() { return ids[rng() % ids.size()]; };
+  std::vector<TokenSeq> entities;
+  for (size_t i = 0; i < 10; ++i) {
+    TokenSeq e;
+    const size_t len = 2 + rng() % 4;
+    for (size_t j = 0; j < len; ++j) e.push_back(rand_tok());
+    entities.push_back(std::move(e));
+  }
+  RuleSet rules;
+  for (size_t r = 0; r < 30; ++r) {
+    const TokenSeq& e = entities[rng() % entities.size()];
+    const size_t begin = rng() % e.size();
+    const size_t len = 1 + rng() % std::min<size_t>(2, e.size() - begin);
+    TokenSeq lhs(e.begin() + static_cast<std::ptrdiff_t>(begin),
+                 e.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    TokenSeq rhs;
+    const size_t rhs_len = 1 + rng() % 3;
+    for (size_t j = 0; j < rhs_len; ++j) rhs.push_back(rand_tok());
+    const double weight =
+        weighted ? 0.5 + 0.05 * static_cast<double>(rng() % 11) : 1.0;
+    (void)rules.Add(std::move(lhs), std::move(rhs), weight);
+  }
+  DerivedDictionaryOptions opts;
+  opts.expander.max_derived = 32;
+  auto dd = DerivedDictionary::Build(std::move(entities), rules,
+                                     std::move(dict), opts);
+  AEETES_CHECK(dd.ok()) << dd.status();
+  RandomWorld world;
+  world.dd = std::move(*dd);
+  // Short documents: the Overlap metric admits every window length, so
+  // candidate counts grow with the square of the document length.
+  for (size_t i = 0; i < 16; ++i) {
+    if (rng() % 4 == 0) {
+      const DerivedId d =
+          static_cast<DerivedId>(rng() % world.dd->num_derived());
+      const Span<TokenId> tokens = world.dd->derived(d).tokens;
+      world.doc_tokens.insert(world.doc_tokens.end(), tokens.begin(),
+                              tokens.end());
+    } else {
+      world.doc_tokens.push_back(rand_tok());
+    }
+  }
+  return world;
+}
+
+/// Verifies every candidate of (world, metric, weighted, tau, strategy) on
+/// both paths and requires identical matches: the early-terminating path
+/// with the origin-union bound against the exhaustive JaccAR maximum.
+/// Returns the bound-pruned pair count.
+uint64_t ExpectBoundedEqualsExhaustive(const RandomWorld& world,
+                                       const ClusteredIndex& index,
+                                       Metric metric, bool weighted,
+                                       double tau, FilterStrategy strategy) {
+  const Document doc = Document::FromTokens(world.doc_tokens);
+  JaccArOptions options;
+  options.metric = metric;
+  options.weighted = weighted;
+  auto gen = GenerateCandidates(strategy, doc, *world.dd, index, tau, metric);
+  auto gen2 = gen;
+  VerifyStats stats;
+  const auto fast = Sorted(VerifyCandidates(std::move(gen.candidates), doc,
+                                            *world.dd, tau, options, &stats,
+                                            /*early_termination=*/true));
+  const auto slow = Sorted(VerifyCandidates(std::move(gen2.candidates), doc,
+                                            *world.dd, tau, options, nullptr,
+                                            /*early_termination=*/false));
+  const std::string where = std::string(MetricName(metric)) +
+                            (weighted ? " weighted" : "") +
+                            " tau=" + std::to_string(tau) + " " +
+                            FilterStrategyName(strategy);
+  EXPECT_EQ(fast.size(), slow.size()) << where;
+  for (size_t i = 0; i < std::min(fast.size(), slow.size()); ++i) {
+    EXPECT_EQ(fast[i], slow[i]) << where;  // entity and span
+    EXPECT_DOUBLE_EQ(fast[i].score, slow[i].score) << where;
+    EXPECT_EQ(fast[i].best_derived, slow[i].best_derived) << where;
+  }
+  EXPECT_LE(stats.matched + stats.bound_pruned, stats.verified) << where;
+  return stats.bound_pruned;
+}
+
+TEST(VerifierTest, UnionBoundEqualsExhaustiveVerification) {
+  std::mt19937_64 rng(20261017);
+  uint64_t pruned = 0;
+  for (int iter = 0; iter < 4; ++iter) {
+    for (const bool weighted : {false, true}) {
+      const RandomWorld world = MakeRuleRichWorld(rng, weighted);
+      const auto index = ClusteredIndex::Build(*world.dd);
+      for (const Metric metric : {Metric::kJaccard, Metric::kCosine,
+                                  Metric::kDice, Metric::kOverlap}) {
+        for (const double tau : {0.5, 0.7, 0.85, 1.0}) {
+          for (const FilterStrategy strategy :
+               {FilterStrategy::kSimple, FilterStrategy::kSkip,
+                FilterStrategy::kDynamic, FilterStrategy::kLazy}) {
+            pruned += ExpectBoundedEqualsExhaustive(world, *index, metric,
+                                                    weighted, tau, strategy);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u) << "the property never exercised the bound";
+}
+
+TEST(VerifierTest, UnionBoundPrunesOnRuleRichWorld) {
+  std::mt19937_64 rng(73);
+  const RandomWorld world = MakeRuleRichWorld(rng, /*weighted=*/false);
+  const auto index = ClusteredIndex::Build(*world.dd);
+  const Document doc = Document::FromTokens(world.doc_tokens);
+  auto gen = GenerateCandidates(FilterStrategy::kLazy, doc, *world.dd,
+                                *index, 0.8);
+  VerifyStats stats;
+  (void)VerifyCandidates(std::move(gen.candidates), doc, *world.dd, 0.8, {},
+                         &stats);
+  EXPECT_GT(stats.bound_pruned, 0u);
+  EXPECT_LE(stats.bound_pruned + stats.matched, stats.verified);
+
+  // The exhaustive path never consults the bound.
+  auto gen2 = GenerateCandidates(FilterStrategy::kLazy, doc, *world.dd,
+                                 *index, 0.8);
+  VerifyStats exhaustive;
+  (void)VerifyCandidates(std::move(gen2.candidates), doc, *world.dd, 0.8, {},
+                         &exhaustive, /*early_termination=*/false);
+  EXPECT_EQ(exhaustive.bound_pruned, 0u);
+  EXPECT_EQ(exhaustive.matched, stats.matched);
 }
 
 TEST(VerifierTest, EmptyCandidatesEmptyMatches) {

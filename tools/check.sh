@@ -25,11 +25,12 @@
 #   alloc       Release bench_micro_ops --assert-steady-state-allocs:
 #               fails if a steady-state Extract call (second call on a
 #               warm scratch) performs any heap allocation, for any
-#               filter strategy (DESIGN.md §10); also asserts the v2
+#               filter strategy (DESIGN.md §10); also asserts the
 #               snapshot load allocates nothing per entity
 #   snapshot    Release aeetes_cli build -> --save-snapshot ->
 #               --load-snapshot: the TSV rows served from the mmapped
-#               engine image must equal the directly built run, and a
+#               engine image must equal the directly built run, a
+#               format-v2 image must be refused by version, and a
 #               deliberately corrupted snapshot must fail cleanly
 #               (DESIGN.md §11)
 #   serve-smoke Release aeetes_server end to end over real TCP: snapshot
@@ -37,7 +38,10 @@
 #               extract + healthz + list exercised with
 #               tools/serve_client.py, the metrics verb validated with
 #               tools/validate_prometheus.py (server.* families must be
-#               present), then SIGTERM must drain gracefully (exit 0)
+#               present), live upsert -> compact -> re-extract, a
+#               compacted snapshot loaded as a second collection must
+#               apply the same synonym rules to upserts, then SIGTERM
+#               must drain gracefully (exit 0)
 #   asan-ubsan  Debug + ASan/UBSan build + ctest
 #   tsan        Debug + TSan build + ctest (includes the runtime hammer
 #               test) + the --threads CLI smoke under TSan
@@ -396,12 +400,12 @@ step_alloc() {
     fail alloc "steady-state Extract allocated on the hot path"
     return
   fi
-  # The v2 snapshot load must allocate a fixed set of wrapper objects —
+  # The snapshot load must allocate a fixed set of wrapper objects —
   # nothing proportional to entity count (DESIGN.md §11).
   if "$bindir/bench/bench_micro_ops" --assert-snapshot-load-allocs; then
     pass alloc
   else
-    fail alloc "v2 snapshot load allocates per entity"
+    fail alloc "snapshot load allocates per entity"
   fi
 }
 
@@ -443,6 +447,18 @@ step_snapshot() {
   if [ "$tsv_built" != "$tsv_loaded" ]; then
     rm -f "$snap"
     fail snapshot "snapshot-served TSV rows differ from direct build"
+    return
+  fi
+  # A format-v2 image (no origin-union or rule sections) must be refused
+  # with an error naming its version.
+  local v2_err
+  if v2_err=$("$cli" "$data/entities.txt" "$data/rules.txt" \
+        "$data/documents.txt" 0.8 lazy \
+        "--load-snapshot=fuzz/corpus/snapshot/tiny_v2.bin" 2>&1 >/dev/null) \
+     || ! printf '%s\n' "$v2_err" | grep -q "version 2"; then
+    printf '%s\n' "$v2_err"
+    rm -f "$snap"
+    fail snapshot "v2 snapshot not rejected by version"
     return
   fi
   # A corrupted image must be rejected with a clean error, not served.
@@ -489,9 +505,10 @@ step_serve_smoke() {
     fail serve-smoke "snapshot build failed"
     return
   fi
+  mkdir -p "$workdir/snaps"
   "$bindir/src/aeetes_server" --snapshot="$workdir/inst.snap" \
     --collection=institutions --port=0 --port-file="$workdir/port" \
-    >"$workdir/server.log" 2>&1 &
+    --snapshot-dir="$workdir/snaps" >"$workdir/server.log" 2>&1 &
   local server_pid=$!
   local tries=0
   while [ ! -s "$workdir/port" ] && [ "$tries" -lt 100 ]; do
@@ -595,6 +612,36 @@ EOF
     kill "$server_pid" 2>/dev/null || true
     rm -rf "$workdir"
     fail serve-smoke "compaction metrics families missing"
+    return
+  fi
+  # Rules round trip: the compaction above persisted institutions.v2.snap
+  # (collection version 2). Loaded as a second collection, it must expand
+  # a live upsert under the same synonym rules as the original, so both
+  # return the identical extract response for the rule-rewritten text.
+  local doc='massachusetts institute of technology media lab'
+  if ! python3 tools/serve_client.py --port-file "$workdir/port" \
+        "{\"verb\":\"load\",\"collection\":\"institutions_b\",\"path\":\"$workdir/snaps/institutions.v2.snap\"}" \
+        '{"verb":"upsert_entities","collection":"institutions","entities":["mit media lab"]}' \
+        '{"verb":"upsert_entities","collection":"institutions_b","entities":["mit media lab"]}' \
+        "{\"verb\":\"extract\",\"collection\":\"institutions\",\"docs\":[\"$doc\"],\"tau\":0.8}" \
+        "{\"verb\":\"extract\",\"collection\":\"institutions_b\",\"docs\":[\"$doc\"],\"tau\":0.8}" \
+        >"$workdir/rules.jsonl" 2>&1 \
+     || ! python3 - "$workdir/rules.jsonl" <<'EOF'
+import json, sys
+load, up_a, up_b, ext_a, ext_b = [
+    json.loads(line) for line in open(sys.argv[1], encoding="utf-8")
+]
+assert load.get("ok") is True, load
+assert up_a["upserted"] == 1 and up_b["upserted"] == 1, (up_a, up_b)
+matches = ext_a["results"][0]["matches"]
+assert any(m["entity_text"] == "mit media lab" for m in matches), ext_a
+assert ext_b["results"] == ext_a["results"], (ext_a, ext_b)
+EOF
+  then
+    cat "$workdir/rules.jsonl" 2>/dev/null
+    kill "$server_pid" 2>/dev/null || true
+    rm -rf "$workdir"
+    fail serve-smoke "snapshot-loaded collection lost its synonym rules"
     return
   fi
   # Graceful drain: SIGTERM must finish in-flight work and exit 0.
