@@ -49,6 +49,9 @@ Aeetes::PipelineMetrics::PipelineMetrics(MetricsRegistry& registry)
       filter_positional_pruned(registry.RegisterCounter(
           "filter.positional_pruned",
           "candidates pruned by the positional filter")),
+      filter_registrations(registry.RegisterCounter(
+          "filter.registrations",
+          "Lazy substring-index entries (token, substring)")),
       verify_pairs(registry.RegisterCounter("verify.pairs",
                                             "candidate pairs verified")),
       verify_matches(registry.RegisterCounter(
@@ -352,6 +355,7 @@ Result<Aeetes::ExtractionSummary> Aeetes::ExtractIntoWithStrategy(
   pipeline_.filter_origin_groups_skipped.Add(fs.origin_groups_skipped);
   pipeline_.filter_candidates.Add(fs.candidates);
   pipeline_.filter_positional_pruned.Add(fs.positional_pruned);
+  pipeline_.filter_registrations.Add(fs.registrations);
   pipeline_.verify_pairs.Add(result.verify_stats.verified);
   pipeline_.verify_matches.Add(result.verify_stats.matched);
   pipeline_.verify_bound_pruned.Add(result.verify_stats.bound_pruned);

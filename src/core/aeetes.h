@@ -252,6 +252,7 @@ class Aeetes {
     Counter& filter_origin_groups_skipped;
     Counter& filter_candidates;
     Counter& filter_positional_pruned;
+    Counter& filter_registrations;
     Counter& verify_pairs;
     Counter& verify_matches;
     Counter& verify_bound_pruned;

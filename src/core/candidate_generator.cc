@@ -335,11 +335,10 @@ void GenerateLazy(const ProbeContext& ctx, const LengthRange& win_len,
   FilterStats& st = *ctx.stats;
   std::vector<Candidate>& candidates = *ctx.candidates;
 
-  // Phase 1: slide windows exactly as Dynamic does, but only *register*
-  // the valid prefix tokens of each substring instead of probing. The flat
-  // arena, once sorted, materializes the substring inverted index I (the
-  // delta-valid-token bookkeeping of Section 4.2 is how the paper builds
-  // the same structure incrementally).
+  // Phase 1: enumerate every substring and *register* its valid prefix
+  // tokens instead of probing. The flat arena, once sorted, materializes
+  // the substring inverted index I (the delta-valid-token bookkeeping of
+  // Section 4.2 is how the paper builds the same structure incrementally).
   std::vector<LazyRegistration>& regs = scratch.registrations;
   regs.clear();
 
@@ -347,8 +346,8 @@ void GenerateLazy(const ProbeContext& ctx, const LengthRange& win_len,
   // and phase 2 evaluates PartnerLengthRange/PrefixLength once per
   // (token, length group); both repeat a handful of distinct arguments
   // thousands of times, so the ceil/division math runs once per size here.
-  const size_t max_key =
-      std::max(std::min<size_t>(win_len.hi, n), ctx.dd.max_set_size());
+  const size_t max_len = std::min<size_t>(win_len.hi, n);
+  const size_t max_key = std::max(max_len, ctx.dd.max_set_size());
   std::vector<uint32_t>& prefix_tab = scratch.prefix_len_table;
   prefix_tab.resize(max_key + 1);
   for (size_t s = 0; s <= max_key; ++s) {
@@ -360,38 +359,86 @@ void GenerateLazy(const ProbeContext& ctx, const LengthRange& win_len,
     partner_tab[l] = PartnerLengthRange(ctx.metric, l, ctx.tau);
   }
 
-  auto register_window = [&](const SlidingWindow& win) {
-    ++st.substrings;
-    const size_t set_size = win.set_size();
-    if (set_size == 0) return;
-    const size_t prefix_len = prefix_tab[set_size];
-    for (size_t k = 0; k < prefix_len; ++k) {
-      const TokenId t = win.DistinctToken(k);
-      if (ctx.index.list(t).empty()) continue;
-      regs.push_back(LazyRegistration{t, static_cast<uint32_t>(set_size),
-                                      static_cast<uint32_t>(win.pos()),
-                                      static_cast<uint32_t>(win.len()),
-                                      static_cast<uint32_t>(k)});
-    }
-  };
+  const TokenDictionary& dict = ctx.dd.token_dict();
+  std::vector<uint32_t>& counts = scratch.token_counts;
+  if (counts.size() < dict.size()) counts.resize(dict.size(), 0);
 
   {
     TraceScope enumeration_span(trace, "window_enumeration");
-    std::vector<SlidingWindow>& states = scratch.states;
-    const size_t num_states = InitialWindows(ctx, win_len, states);
-    if (num_states == 0) return;
-    ++st.windows;
-    for (size_t si = 0; si < num_states; ++si) register_window(states[si]);
-    for (size_t p = 1; p + win_len.lo <= n; ++p) {
-      ++st.windows;
-      for (size_t si = 0; si < num_states; ++si) {
-        SlidingWindow& s = states[si];
-        if (p + s.len() > n) continue;
-        s.Migrate();
-        ++st.prefix_updates;
-        register_window(s);
-      }
+    if (win_len.lo > n) {
+      enumeration_span.AddStat("registrations", 0);
+      return;
     }
+    // One pass over the document: rank, posting-list flag and previous
+    // occurrence of every token. `counts` holds each token's last
+    // occurrence + 1 during the pass and is re-zeroed right after.
+    const Span<TokenId> tokens(ctx.doc.tokens());
+    std::vector<TokenRank>& ranks = scratch.doc_ranks;
+    std::vector<uint8_t>& indexed = scratch.doc_indexed;
+    std::vector<uint32_t>& prev = scratch.doc_prev;
+    ranks.resize(n);
+    indexed.resize(n);
+    prev.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const TokenId t = tokens[i];
+      AEETES_DCHECK_LT(t, counts.size());
+      ranks[i] = dict.Rank(t);
+      indexed[i] = ctx.index.list(t).empty() ? 0 : 1;
+      prev[i] = counts[t];
+      counts[t] = static_cast<uint32_t>(i + 1);
+    }
+    for (size_t i = 0; i < n; ++i) counts[tokens[i]] = 0;
+
+    // K = the longest prefix any admissible set size needs (the max, not
+    // the last entry: PrefixLength need not be monotone in general). A
+    // substring's prefix is the first PrefixLength(set size) of its K
+    // rarest distinct tokens.
+    size_t top_k = 0;
+    for (size_t s = 1; s <= max_len; ++s) {
+      top_k = std::max<size_t>(top_k, prefix_tab[s]);
+    }
+    std::vector<LazyPrefixSlot>& top = scratch.lazy_prefix;
+    top.resize(top_k);
+
+    // Extend from each start p: token i is new to [p, i] iff its previous
+    // occurrence lies before p. A new token bumps the set size and, when
+    // rare enough, is insertion-sorted into the top-K buffer; a token that
+    // misses the buffer can never enter a longer substring's top K.
+    for (size_t p = 0; p + win_len.lo <= n; ++p) {
+      ++st.windows;
+      const size_t end = std::min<size_t>(win_len.hi, n - p);
+      if (end < win_len.lo) continue;
+      size_t used = 0;
+      size_t set_size = 0;
+      for (size_t l = 1; l <= end; ++l) {
+        const size_t i = p + l - 1;
+        if (prev[i] <= p) {
+          ++set_size;
+          const TokenRank r = ranks[i];
+          if (used < top_k || (used > 0 && r < top[used - 1].rank)) {
+            size_t j = used < top_k ? used++ : used - 1;
+            for (; j > 0 && top[j - 1].rank > r; --j) top[j] = top[j - 1];
+            top[j] = LazyPrefixSlot{r, tokens[i], indexed[i]};
+          }
+        }
+        if (l < win_len.lo) continue;
+        const size_t prefix_len = prefix_tab[set_size];
+        AEETES_DCHECK_LE(prefix_len, used);
+        for (size_t k = 0; k < prefix_len; ++k) {
+          if (top[k].indexed == 0) continue;  // invalid or unindexed token
+          regs.push_back(LazyRegistration{
+              top[k].token, static_cast<uint32_t>(set_size),
+              static_cast<uint32_t>(p), static_cast<uint32_t>(l),
+              static_cast<uint32_t>(k)});
+        }
+      }
+      const size_t substrings = end - win_len.lo + 1;
+      st.substrings += substrings;
+      ++st.prefix_rebuilds;
+      st.prefix_updates += substrings - 1;
+    }
+    st.registrations = regs.size();
+    enumeration_span.AddStat("registrations", st.registrations);
   }
 
   // Phase 2: one scan of L[t] per valid token. A counting scatter (two
@@ -402,12 +449,8 @@ void GenerateLazy(const ProbeContext& ctx, const LengthRange& win_len,
   // R*log(R).
   TraceScope scan_span(trace, "posting_scan");
   std::vector<LazyRegistration>& by_token = scratch.registrations_by_token;
-  std::vector<uint32_t>& counts = scratch.token_counts;
   std::vector<TokenId>& run_tokens = scratch.run_tokens;
   std::vector<uint32_t>& run_offsets = scratch.run_offsets;
-  if (counts.size() < ctx.dd.token_dict().size()) {
-    counts.resize(ctx.dd.token_dict().size(), 0);
-  }
   run_tokens.clear();
   for (const LazyRegistration& r : regs) {
     if (counts[r.token]++ == 0) run_tokens.push_back(r.token);
@@ -440,7 +483,6 @@ void GenerateLazy(const ProbeContext& ctx, const LengthRange& win_len,
   // candidates.) When window ids could overflow, candidates are emitted
   // with duplicates and deduped by sort+unique over the full-width
   // (pos, len, origin) triples, which is exact at any scale.
-  const size_t max_len = std::min<size_t>(win_len.hi, n);
   const uint64_t num_lens =
       max_len >= win_len.lo ? static_cast<uint64_t>(max_len - win_len.lo) + 1
                             : 0;
@@ -576,6 +618,7 @@ FilterStats GenerateCandidatesInto(FilterStrategy strategy,
   filter_span.AddStat("origin_groups_skipped", stats.origin_groups_skipped);
   filter_span.AddStat("candidates", stats.candidates);
   filter_span.AddStat("positional_pruned", stats.positional_pruned);
+  filter_span.AddStat("registrations", stats.registrations);
   return stats;
 }
 

@@ -24,7 +24,12 @@ enum class FilterStrategy {
   /// + dynamic prefix maintenance via Window Extend / Window Migrate.
   kDynamic = 2,
   /// + lazy candidate generation: collect valid tokens for all substrings
-  /// first, then scan each posting list exactly once per document.
+  /// first, then scan each posting list exactly once per document. Its
+  /// enumeration needs no sliding windows: one pass fills per-document
+  /// rank and previous-occurrence arrays, then each start position is
+  /// extended once, keeping the K rarest distinct tokens (K = the longest
+  /// prefix any admissible set size needs) in a small sorted buffer
+  /// (DESIGN.md §4).
   kLazy = 3,
 };
 

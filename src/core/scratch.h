@@ -88,6 +88,15 @@ struct LazyRegistration {
   uint32_t k;
 };
 
+/// Lazy phase-1 top-K slot: one distinct token of the substrings that
+/// start at the current position, kept sorted by ascending `rank` (the
+/// global order). `indexed` caches whether the token has a posting list.
+struct LazyPrefixSlot {
+  TokenRank rank;
+  TokenId token;
+  uint32_t indexed;
+};
+
 /// Reusable per-call state for the online extraction pipeline (DESIGN.md
 /// §10 "Hot-path memory discipline").
 ///
@@ -116,13 +125,23 @@ struct ExtractScratch {
   std::vector<SlidingWindow> states;
   /// Dynamic strategy: one token -> CachedScan memo per window state.
   std::vector<FlatMap<TokenId, CachedScan>> dynamic_caches;
+  /// Lazy strategy: per-document token arrays, indexed by document
+  /// position — global-order rank, "has a posting list" flag, and the
+  /// previous occurrence of the same token plus one (0 when none).
+  std::vector<TokenRank> doc_ranks;
+  std::vector<uint8_t> doc_indexed;
+  std::vector<uint32_t> doc_prev;
+  /// Lazy strategy: the top-K rank buffer of the current start position
+  /// (see LazyPrefixSlot).
+  std::vector<LazyPrefixSlot> lazy_prefix;
   /// Lazy strategy: phase-1 registration arena (see LazyRegistration).
   std::vector<LazyRegistration> registrations;
   /// Lazy strategy: the arena scattered into contiguous per-token runs.
   std::vector<LazyRegistration> registrations_by_token;
-  /// Lazy strategy: per-token counts / scatter cursors, indexed by
-  /// TokenId. All-zero between calls; GenerateLazy re-zeroes only the
-  /// tokens it touched, never the whole array.
+  /// Lazy strategy: per-token counts / scatter cursors (and, in phase 1,
+  /// last-occurrence cursors), indexed by TokenId. All-zero between calls;
+  /// GenerateLazy re-zeroes only the tokens it touched, never the whole
+  /// array.
   std::vector<uint32_t> token_counts;
   /// Lazy strategy: distinct registered tokens, ascending.
   std::vector<TokenId> run_tokens;

@@ -6,8 +6,9 @@ namespace aeetes {
 
 void FilterStats::CheckConsistent() const {
   // Every probed substring was materialized by exactly one prefix rebuild
-  // (Reset) or incremental update (Extend/Migrate); a strategy that probes
-  // a window state it never built has a bookkeeping bug.
+  // (Reset, or a Lazy start position) or incremental update (Extend /
+  // Migrate, or one more Lazy extension step); a strategy that probes a
+  // window state it never built has a bookkeeping bug.
   AEETES_CHECK_LE(substrings, prefix_rebuilds + prefix_updates)
       << "probed more substrings than window states built";
   // A candidate admission requires a probe, so candidates are bounded by
@@ -20,6 +21,10 @@ void FilterStats::CheckConsistent() const {
   if (positional_pruned > 0) {
     AEETES_CHECK_GT(substrings, 0u)
         << "positional filter ran without probing any substring";
+  }
+  if (registrations > 0) {
+    AEETES_CHECK_GT(substrings, 0u)
+        << "registered prefix tokens without enumerating any substring";
   }
 }
 

@@ -13,9 +13,12 @@ namespace aeetes {
 struct FilterStats {
   uint64_t windows = 0;
   uint64_t substrings = 0;
-  /// Prefixes computed from scratch (sorting the window's tokens).
+  /// Prefixes computed from scratch (sorting the window's tokens). Lazy
+  /// counts one per start position: each start builds its prefix from an
+  /// empty set.
   uint64_t prefix_rebuilds = 0;
-  /// Incremental prefix updates (Window Extend / Window Migrate).
+  /// Incremental prefix updates (Window Extend / Window Migrate). Lazy
+  /// counts one per substring beyond the first of its start position.
   uint64_t prefix_updates = 0;
   /// Posting entries touched while scanning inverted lists.
   uint64_t entries_accessed = 0;
@@ -28,6 +31,9 @@ struct FilterStats {
   uint64_t candidates = 0;
   /// Candidate admissions rejected by the positional filter.
   uint64_t positional_pruned = 0;
+  /// Lazy only: (token, substring) entries of the substring inverted
+  /// index I built by phase 1. Zero for the other strategies.
+  uint64_t registrations = 0;
 
   /// Cross-counter invariants that hold for every filter strategy; aborts
   /// via AEETES_CHECK_* on violation. Candidate generation calls this
@@ -46,6 +52,7 @@ struct FilterStats {
     origin_groups_skipped += o.origin_groups_skipped;
     candidates += o.candidates;
     positional_pruned += o.positional_pruned;
+    registrations += o.registrations;
     return *this;
   }
 };

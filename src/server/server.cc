@@ -329,8 +329,10 @@ bool Server::ReadReady(Connection& conn) {
 
 bool Server::WriteReady(Connection& conn) {
   while (conn.out_off < conn.outbox.size()) {
-    const ssize_t n = ::write(conn.fd, conn.outbox.data() + conn.out_off,
-                              conn.outbox.size() - conn.out_off);
+    // MSG_NOSIGNAL: a peer that reset the connection must cost only this
+    // connection (EPIPE below), not raise SIGPIPE in the whole process.
+    const ssize_t n = ::send(conn.fd, conn.outbox.data() + conn.out_off,
+                             conn.outbox.size() - conn.out_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn.out_off += static_cast<size_t>(n);
       continue;

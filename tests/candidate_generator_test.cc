@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "src/baseline/brute_force.h"
 #include "src/index/clustered_index.h"
+#include "src/text/token_set.h"
 #include "tests/test_util.h"
 
 namespace aeetes {
@@ -34,24 +36,118 @@ TEST(FilterStrategyTest, Names) {
   EXPECT_STREQ(FilterStrategyName(FilterStrategy::kLazy), "Lazy");
 }
 
+/// Brute-force size of Lazy's substring index I: for every admissible
+/// substring, the tau-prefix tokens of its ordered set that have a posting
+/// list.
+uint64_t ExpectedRegistrations(const Document& doc,
+                               const DerivedDictionary& dd,
+                               const ClusteredIndex& index, double tau,
+                               Metric metric) {
+  const LengthRange win = SubstringLengthBounds(metric, dd.min_set_size(),
+                                                dd.max_set_size(), tau);
+  const TokenSeq& tokens = doc.tokens();
+  uint64_t total = 0;
+  for (size_t p = 0; p < tokens.size(); ++p) {
+    for (size_t l = win.lo; l <= win.hi && p + l <= tokens.size(); ++l) {
+      const TokenSeq set = BuildOrderedSet(
+          Span<TokenId>(tokens.data() + p, l), dd.token_dict());
+      const size_t prefix = PrefixLength(metric, set.size(), tau);
+      for (size_t k = 0; k < prefix; ++k) {
+        if (!index.list(set[k]).empty()) ++total;
+      }
+    }
+  }
+  return total;
+}
+
+/// Replaces about a quarter of `tokens` with tokens the dictionary has
+/// never seen (frequency 0, no posting list), some of them repeated.
+void SpliceUnknownTokens(std::mt19937_64& rng, DerivedDictionary& dd,
+                         TokenSeq& tokens) {
+  TokenDictionary& dict = dd.mutable_token_dict();
+  for (TokenId& t : tokens) {
+    if (rng() % 4 == 0) {
+      t = dict.GetOrAdd("unknown" + std::to_string(rng() % 6));
+    }
+  }
+}
+
+// Every strategy yields the same candidate set, enumerates the same
+// windows and substrings, and Lazy's substring index holds exactly the
+// brute-force (token, substring) entries — across all four metrics, with
+// and without the positional filter (which reads each registration's
+// prefix index k), on worlds with few distinct tokens (many repeats per
+// window) and with unknown tokens, and on documents shorter than, equal
+// to, and longer than the window-length bounds.
 TEST(CandidateGeneratorTest, AllStrategiesProduceIdenticalCandidateSets) {
   std::mt19937_64 rng(11);
-  for (int iter = 0; iter < 25; ++iter) {
-    auto world = MakeRandomWorld(rng);
-    const Document doc = Document::FromTokens(world.doc_tokens);
+  enum class Shape { kPlain, kSmallVocabulary, kUnknownTokens };
+  for (int iter = 0; iter < 24; ++iter) {
+    const Shape shape = static_cast<Shape>(iter % 3);
+    auto world = shape == Shape::kSmallVocabulary
+                     ? MakeRandomWorld(rng, /*vocab=*/5, /*num_entities=*/8,
+                                       /*num_rules=*/6, /*doc_len=*/60)
+                     : MakeRandomWorld(rng);
+    if (shape == Shape::kUnknownTokens) {
+      SpliceUnknownTokens(rng, *world.dd, world.doc_tokens);
+    }
     auto index = ClusteredIndex::Build(*world.dd);
-    for (double tau : {0.7, 0.8, 0.9}) {
-      const auto simple = GenerateCandidates(FilterStrategy::kSimple, doc,
-                                             *world.dd, *index, tau);
-      const auto base = CandidateSet(simple.candidates);
-      for (FilterStrategy s :
-           {FilterStrategy::kSkip, FilterStrategy::kDynamic,
-            FilterStrategy::kLazy}) {
-        const auto got =
-            GenerateCandidates(s, doc, *world.dd, *index, tau);
-        EXPECT_EQ(CandidateSet(got.candidates), base)
-            << "strategy=" << FilterStrategyName(s) << " tau=" << tau
-            << " iter=" << iter;
+    for (Metric metric : {Metric::kJaccard, Metric::kCosine, Metric::kDice,
+                          Metric::kOverlap}) {
+      for (double tau : {0.7, 0.8, 0.9}) {
+        const LengthRange win =
+            SubstringLengthBounds(metric, world.dd->min_set_size(),
+                                  world.dd->max_set_size(), tau);
+        // 40 tokens exceed every bounded hi here; Overlap (unbounded hi)
+        // costs cubic time in the length, so it is not taken longer.
+        const size_t long_n = std::min<size_t>(world.doc_tokens.size(), 40);
+        ASSERT_LT(win.lo, long_n);
+        if (metric != Metric::kOverlap) {
+          ASSERT_GT(long_n, win.hi);
+        }
+        for (size_t n : {win.lo - 1, win.lo, long_n}) {
+          const Document doc = Document::FromTokens(
+              TokenSeq(world.doc_tokens.begin(),
+                       world.doc_tokens.begin() + static_cast<ptrdiff_t>(n)));
+          for (bool positional : {false, true}) {
+            CandidateGenOptions opts;
+            opts.positional_filter = positional;
+            const auto simple =
+                GenerateCandidates(FilterStrategy::kSimple, doc, *world.dd,
+                                   *index, tau, metric, opts);
+            const auto base = CandidateSet(simple.candidates);
+            for (FilterStrategy s :
+                 {FilterStrategy::kSkip, FilterStrategy::kDynamic,
+                  FilterStrategy::kLazy}) {
+              const auto got = GenerateCandidates(s, doc, *world.dd, *index,
+                                                  tau, metric, opts);
+              const std::string where =
+                  std::string("strategy=") + FilterStrategyName(s) +
+                  " metric=" + MetricName(metric) +
+                  " tau=" + std::to_string(tau) +
+                  " n=" + std::to_string(n) +
+                  " positional=" + std::to_string(positional) +
+                  " iter=" + std::to_string(iter);
+              EXPECT_EQ(CandidateSet(got.candidates), base) << where;
+              EXPECT_EQ(got.stats.windows, simple.stats.windows) << where;
+              EXPECT_EQ(got.stats.substrings, simple.stats.substrings)
+                  << where;
+              if (s == FilterStrategy::kLazy) {
+                EXPECT_EQ(got.stats.registrations,
+                          ExpectedRegistrations(doc, *world.dd, *index, tau,
+                                                metric))
+                    << where;
+                EXPECT_EQ(got.stats.prefix_rebuilds, got.stats.windows)
+                    << where;
+                EXPECT_EQ(got.stats.prefix_updates,
+                          got.stats.substrings - got.stats.windows)
+                    << where;
+              } else {
+                EXPECT_EQ(got.stats.registrations, 0u) << where;
+              }
+            }
+          }
+        }
       }
     }
   }

@@ -251,6 +251,7 @@ TEST(StatsMergeTest, FilterStatsAccumulateAndStayConsistent) {
   a.prefix_updates = 16;
   a.entries_accessed = 30;
   a.candidates = 5;
+  a.registrations = 12;
   FilterStats b;
   b.windows = 1;
   b.substrings = 2;
@@ -258,6 +259,7 @@ TEST(StatsMergeTest, FilterStatsAccumulateAndStayConsistent) {
   b.prefix_updates = 1;
   b.entries_accessed = 3;
   b.candidates = 4;
+  b.registrations = 2;
   a += b;
   EXPECT_EQ(a.windows, 11u);
   EXPECT_EQ(a.substrings, 22u);
@@ -265,6 +267,7 @@ TEST(StatsMergeTest, FilterStatsAccumulateAndStayConsistent) {
   EXPECT_EQ(a.prefix_updates, 17u);
   EXPECT_EQ(a.entries_accessed, 33u);
   EXPECT_EQ(a.candidates, 9u);
+  EXPECT_EQ(a.registrations, 14u);
   a.CheckConsistent();  // merged totals must preserve the invariants
 }
 
@@ -337,6 +340,11 @@ TEST(PipelineTraceTest, TraceAgreesWithReturnedStatsAndRegistry) {
     EXPECT_EQ(SpanStat(*filter, "substrings"), fs.substrings);
     EXPECT_EQ(SpanStat(*filter, "entries_accessed"), fs.entries_accessed);
     EXPECT_EQ(SpanStat(*filter, "candidates"), fs.candidates);
+    EXPECT_EQ(SpanStat(*filter, "registrations"), fs.registrations);
+    // Lazy's phase-1 span reports the size of its substring index I.
+    const auto* enumeration = rec.Find("window_enumeration");
+    ASSERT_NE(enumeration, nullptr);
+    EXPECT_EQ(SpanStat(*enumeration, "registrations"), fs.registrations);
     EXPECT_EQ(SpanStat(*verify, "verified"), result->verify_stats.verified);
     EXPECT_EQ(SpanStat(*verify, "matched"), result->verify_stats.matched);
     EXPECT_EQ(SpanStat(*verify, "bound_pruned"),
@@ -356,6 +364,11 @@ TEST(PipelineTraceTest, TraceAgreesWithReturnedStatsAndRegistry) {
   const Counter* matches = aeetes->metrics().FindCounter("verify.matches");
   const Counter* pruned =
       aeetes->metrics().FindCounter("verify.bound_pruned");
+  const Counter* registrations =
+      aeetes->metrics().FindCounter("filter.registrations");
+  ASSERT_NE(registrations, nullptr);
+  EXPECT_GT(total_filter.registrations, 0u);
+  EXPECT_EQ(registrations->value(), total_filter.registrations);
   ASSERT_NE(calls, nullptr);
   ASSERT_NE(pruned, nullptr);
   ASSERT_NE(windows, nullptr);

@@ -44,7 +44,8 @@ bool SameFilterStats(const FilterStats& a, const FilterStats& b) {
          a.length_groups_skipped == b.length_groups_skipped &&
          a.origin_groups_skipped == b.origin_groups_skipped &&
          a.candidates == b.candidates &&
-         a.positional_pruned == b.positional_pruned;
+         a.positional_pruned == b.positional_pruned &&
+         a.registrations == b.registrations;
 }
 
 class ParallelExtractorTest : public testing::Test {

@@ -466,6 +466,89 @@ TEST_F(ServerTest, SlowClientBackpressureKeepsOrderAndServerLiveness) {
   ::close(fd);
 }
 
+// A peer that pipelines requests and then resets the connection without
+// reading its responses must cost the server that one connection, never
+// the process: a write toward a reset peer raises SIGPIPE unless the
+// socket write says MSG_NOSIGNAL, and SIGPIPE's default action kills the
+// daemon (or any program embedding Server). Half the rounds send a FIN
+// first, so the reset lands in CLOSE_WAIT, where the kernel reports EPIPE
+// (not ECONNRESET) on the next write.
+TEST_F(ServerTest, PeerResetBeforeReadingLeavesServerServing) {
+  Server::Options options;
+  options.outbox_high_watermark = 16u << 10;
+  StartServer(std::move(options));
+  auto admin = Connect();
+  ASSERT_NE(admin, nullptr);
+  ASSERT_TRUE(Call(*admin, kCreateInst).Find("ok")->AsBool());
+
+  std::string wire;
+  for (size_t i = 0; i < 64; ++i) {
+    EncodeFrame(R"({"verb":"extract","collection":"inst","docs":[)"
+                R"("uc berkeley and mit and uc berkeley and mit",)"
+                R"("mit and uc berkeley and mit and uc berkeley"]})",
+                &wire);
+  }
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+
+  for (int round = 0; round < 40; ++round) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    size_t sent = 0;
+    while (sent < wire.size()) {
+      const ssize_t n = ::write(fd, wire.data() + sent, wire.size() - sent);
+      ASSERT_GT(n, 0) << "short request write: " << std::strerror(errno);
+      sent += static_cast<size_t>(n);
+    }
+    // Let some responses reach the socket unread, then reset.
+    std::this_thread::sleep_for(std::chrono::milliseconds(round % 4));
+    if (round % 2 == 1) {
+      ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    }
+    const linger reset = {1, 0};
+    ASSERT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)), 0);
+    ::close(fd);
+  }
+
+  // The server survived every reset and still answers new connections.
+  auto fresh = Connect();
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_TRUE(Call(*fresh, R"({"verb":"healthz"})").Find("ok")->AsBool());
+  EXPECT_TRUE(Call(*admin, R"({"verb":"healthz"})").Find("ok")->AsBool());
+}
+
+// The client half of the same hazard, for a program that embeds Client:
+// sending on a connection the server has closed must come back as an
+// error status, not a SIGPIPE. A server at its connection limit accepts
+// and closes the extra connection at once.
+TEST_F(ServerTest, ClientSendAfterServerClosedReturnsError) {
+  Server::Options options;
+  options.max_connections = 1;
+  StartServer(std::move(options));
+  auto admin = Connect();
+  ASSERT_NE(admin, nullptr);
+  EXPECT_TRUE(Call(*admin, R"({"verb":"healthz"})").Find("ok")->AsBool());
+
+  auto extra = Connect();
+  ASSERT_NE(extra, nullptr);
+  // The first send after the close may still be buffered; the reset it
+  // provokes fails a later one, and every send after that meets EPIPE.
+  bool failed = false;
+  for (int i = 0; i < 1000 && !failed; ++i) {
+    failed = !extra->Send(R"({"verb":"healthz"})").ok();
+    if (!failed) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(failed);
+  EXPECT_FALSE(extra->Send(R"({"verb":"healthz"})").ok());
+  EXPECT_FALSE(extra->Send(R"({"verb":"healthz"})").ok());
+  EXPECT_TRUE(Call(*admin, R"({"verb":"healthz"})").Find("ok")->AsBool());
+}
+
 TEST_F(ServerTest, GracefulDrainFinishesInFlightWork) {
   StartServer();
   auto client = Connect();

@@ -40,8 +40,10 @@
 #               tools/validate_prometheus.py (server.* families must be
 #               present), live upsert -> compact -> re-extract, a
 #               compacted snapshot loaded as a second collection must
-#               apply the same synonym rules to upserts, then SIGTERM
-#               must drain gracefully (exit 0)
+#               apply the same synonym rules to upserts, a client that
+#               pipelines extracts and resets the connection unread must
+#               leave healthz answering, then SIGTERM must drain
+#               gracefully (exit 0)
 #   asan-ubsan  Debug + ASan/UBSan build + ctest
 #   tsan        Debug + TSan build + ctest (includes the runtime hammer
 #               test) + the --threads CLI smoke under TSan
@@ -300,6 +302,8 @@ for key in ("counters", "gauges", "histograms"):
     assert key in snap, f"missing top-level key: {key}"
 assert snap["counters"].get("extract.calls", 0) > 0, "no extract calls"
 assert "index.bytes" in snap["gauges"], "index gauges not published"
+assert snap["counters"].get("filter.registrations", 0) > 0, (
+    "Lazy substring-index size not published")
 '; then
       fail smoke "metrics snapshot failed JSON validation"
       return
@@ -642,6 +646,23 @@ EOF
     kill "$server_pid" 2>/dev/null || true
     rm -rf "$workdir"
     fail serve-smoke "snapshot-loaded collection lost its synonym rules"
+    return
+  fi
+  # Reset before read: a client pipelines extracts and resets the
+  # connection without reading a response. Writing toward a reset peer
+  # must not raise SIGPIPE in the server; healthz must still answer on a
+  # new connection, and the drain below must still exit 0.
+  if ! python3 tools/serve_client.py --port-file "$workdir/port" \
+        --reset 200 \
+        '{"verb":"extract","collection":"institutions","docs":["uc berkeley and mit and carnegie mellon university"],"tau":0.8}' \
+     || ! python3 tools/serve_client.py --port-file "$workdir/port" \
+        '{"verb":"healthz"}' >"$workdir/reset.jsonl" 2>&1 \
+     || ! kill -0 "$server_pid" 2>/dev/null; then
+    cat "$workdir/reset.jsonl" 2>/dev/null
+    tail -n 20 "$workdir/server.log"
+    kill "$server_pid" 2>/dev/null || true
+    rm -rf "$workdir"
+    fail serve-smoke "server stopped serving after a client reset"
     return
   fi
   # Graceful drain: SIGTERM must finish in-flight work and exit 0.

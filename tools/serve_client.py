@@ -22,6 +22,12 @@ Usage:
   serve_client.py --port 7071 \
       '{"verb":"upsert_entities","collection":"c","entities":["acme corp"]}' \
       '{"verb":"compact","collection":"c"}' --wait-version c=2
+
+--reset N plays a peer that goes away mid-conversation: it sends the
+requests N times back to back without reading a single response, waits
+briefly so responses pile up toward it, then closes with SO_LINGER 0 so
+the server sees a connection reset. It prints nothing and exits 0; the
+caller checks that the server is still serving afterwards.
 """
 import argparse
 import json
@@ -44,10 +50,21 @@ def read_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def call(sock: socket.socket, payload: str) -> dict:
-    raw = payload.encode("utf-8")
-    sock.sendall(HEADER.pack(len(raw)) + raw)
+    sock.sendall(frame(payload))
     (length,) = HEADER.unpack(read_exact(sock, HEADER.size))
     return json.loads(read_exact(sock, length).decode("utf-8"))
+
+
+def frame(payload: str) -> bytes:
+    raw = payload.encode("utf-8")
+    return HEADER.pack(len(raw)) + raw
+
+
+def reset_after_send(sock: socket.socket, requests, times: int) -> None:
+    sock.sendall(b"".join(frame(r) for r in requests) * times)
+    time.sleep(0.2)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
 
 
 def wait_version(sock: socket.socket, spec: str, deadline: float) -> bool:
@@ -81,6 +98,9 @@ def main() -> int:
     parser.add_argument("--wait-version", metavar="NAME=V",
                         help="after the requests, poll list until "
                         "collection NAME publishes version >= V")
+    parser.add_argument("--reset", type=int, default=0, metavar="N",
+                        help="send the requests N times without reading, "
+                        "then reset the connection (see above)")
     parser.add_argument("requests", nargs="*",
                         help="JSON request payloads, sent in order")
     args = parser.parse_args()
@@ -92,6 +112,12 @@ def main() -> int:
             parser.error("one of --port / --port-file is required")
         with open(args.port_file, encoding="utf-8") as f:
             args.port = int(f.read().strip())
+
+    if args.reset > 0:
+        with socket.create_connection((args.host, args.port),
+                                      timeout=args.timeout) as sock:
+            reset_after_send(sock, args.requests, args.reset)
+        return 0
 
     failed = False
     with socket.create_connection((args.host, args.port),
