@@ -8,10 +8,6 @@
 //       documents.txt — benchmark that corpus instead of the synthetic
 //       profiles. Count columns are then bit-exact across machines, which
 //       is what tools/bench_compare.py's bench-smoke gate keys on.
-//   AEETES_BENCH_TELEMETRY=1  run the Aeetes side with the full telemetry
-//       stack live (1 s ticker over every engine metric + flight recorder
-//       at 1-in-64 sampling), for A/B overhead measurement against a
-//       default run. The ISSUE budget is < 1% on aeetes_ms_per_doc.
 //
 // Rows gain cycles/instructions/cache-miss/branch-miss columns when the
 // host exposes hardware perf counters; they are omitted (not zeroed) when
@@ -24,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/telemetry.h"
+#include "src/common/perf_counters.h"
 
 namespace {
 
@@ -49,8 +45,6 @@ int main() {
                                 "Figure 9");
 
   const char* corpus_dir = std::getenv("AEETES_BENCH_CORPUS_DIR");
-  const bool telemetry_on =
-      bench::EnvDouble("AEETES_BENCH_TELEMETRY", 0.0) != 0.0;
 
   std::cout << std::left << std::setw(14) << "dataset" << std::setw(6)
             << "tau" << std::right << std::setw(16) << "FaerieR(ms/doc)"
@@ -77,19 +71,6 @@ int main() {
   for (auto& [dataset_name, w] : workloads) {
     auto faerie_r = FaerieR::Build(w.aeetes->derived_dictionary());
     AEETES_CHECK(faerie_r.ok());
-
-    // Telemetry A/B: the "on" arm carries the whole observability stack —
-    // every engine metric tracked in the rolling window, a live 1 s
-    // ticker, and flight-recorder sampling at the service default.
-    TelemetryHub hub(&w.aeetes->metrics());
-    std::unique_ptr<TelemetryTicker> ticker;
-    if (telemetry_on) {
-      hub.TrackAll();
-      FlightRecorderOptions fopts;  // defaults: 1-in-64, 50 ms, keep 16
-      w.aeetes->EnableFlightRecorder(fopts);
-      ticker = std::make_unique<TelemetryTicker>(&hub);
-      ticker->Start();
-    }
 
     for (double tau : bench::ThresholdSweep()) {
       size_t faerie_matches = 0;
@@ -142,13 +123,6 @@ int main() {
                 << std::setw(16) << aeetes_ms << std::setw(9)
                 << std::setprecision(1) << (faerie_ms / std::max(aeetes_ms, 1e-9))
                 << "x\n";
-    }
-    if (ticker != nullptr) {
-      ticker->Stop();
-      const FlightRecorder* fr = w.aeetes->flight_recorder();
-      std::cout << "  telemetry on: " << hub.ticks() << " ticks, "
-                << fr->sampled_calls() << "/" << fr->total_calls()
-                << " calls sampled, " << fr->retained() << " retained\n";
     }
     std::cout << "  index sizes: Aeetes=" << w.aeetes->index().MemoryBytes()
               << " B, FaerieR=" << (*faerie_r)->faerie().MemoryBytes()

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -111,7 +112,15 @@ void CaseStudy(const SyntheticDataset& ds, const Aeetes& aeetes,
     const TokenSeq eset = BuildOrderedSet(
         aeetes.derived_dictionary().origin_entity(gt.entity), dict);
     const double jac = JaccardOnOrderedSets(wset, eset, dict);
-    const double fj = FuzzyJaccard().Similarity(wset, eset, dict);
+    // FJ compares texts; the window's are the document's own (its unseen
+    // tokens are not in the dictionary).
+    std::vector<std::string> wtexts;
+    for (size_t i = gt.token_begin; i < gt.token_begin + gt.token_len; ++i) {
+      wtexts.emplace_back(doc.TokenText(i, dict));
+    }
+    std::vector<std::string> etexts;
+    for (const TokenId t : eset) etexts.emplace_back(dict.Text(t));
+    const double fj = FuzzyJaccard().Similarity(wtexts, etexts);
     const JaccArVerifier verifier(aeetes.derived_dictionary());
     const double jaccar = verifier.Score(gt.entity, wset).score;
 
@@ -157,30 +166,25 @@ int main() {
     }
 
     // Plain-Jaccard extractor: Faerie over the origin dictionary sharing
-    // the same token space.
+    // the same token space (every entity token is already in it).
     Tokenizer tokenizer;
+    const TokenDictionary& dict = aeetes->derived_dictionary().token_dict();
     std::vector<TokenSeq> origin_entities;
-    {
-      for (const std::string& e : ds.entity_texts) {
-        TokenSeq enc;
-        for (const std::string& w : tokenizer.TokenizeToStrings(e)) {
-          enc.push_back(const_cast<TokenDictionary&>(
-                            aeetes->derived_dictionary().token_dict())
-                            .GetOrAdd(w));
-        }
-        origin_entities.push_back(std::move(enc));
+    for (const std::string& e : ds.entity_texts) {
+      TokenSeq enc;
+      for (const std::string& w : tokenizer.TokenizeToStrings(e)) {
+        const std::optional<TokenId> id = dict.Lookup(w);
+        AEETES_CHECK(id.has_value()) << "entity token missing: " << w;
+        enc.push_back(*id);
       }
+      origin_entities.push_back(std::move(enc));
     }
     auto jaccard_faerie = Faerie::Build(
-        origin_entities,
-        std::shared_ptr<TokenDictionary>(
-            const_cast<TokenDictionary*>(
-                &aeetes->derived_dictionary().token_dict()),
-            [](TokenDictionary*) {}));
+        origin_entities, std::shared_ptr<const TokenDictionary>(
+                             &dict, [](const TokenDictionary*) {}));
     AEETES_CHECK(jaccard_faerie.ok());
 
-    FuzzyExtractor fj_extractor(origin_entities,
-                                aeetes->derived_dictionary().token_dict());
+    FuzzyExtractor fj_extractor(origin_entities, dict);
 
     for (double tau : {0.7, 0.8, 0.9}) {
       std::vector<std::vector<Match>> jac_matches, fj_matches, ar_matches;

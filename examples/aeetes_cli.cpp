@@ -229,8 +229,8 @@ int main(int argc, char** argv) {
       }
     }
   } else {
-    // Encoding interns tokens and stays serial; extraction fans out over
-    // the runtime pool and merges back into document order.
+    // Encode, then fan extraction out over the runtime pool, which merges
+    // back into document order.
     std::vector<Document> encoded;
     encoded.reserve(documents.size());
     for (const std::string& text : documents) {

@@ -64,8 +64,8 @@ int main() {
   // --- syntactic approximate extraction (no synonyms) -------------------
   auto faerie = Faerie::Build(
       origin_tokens,
-      std::shared_ptr<TokenDictionary>(
-          const_cast<TokenDictionary*>(&dict), [](TokenDictionary*) {}));
+      std::shared_ptr<const TokenDictionary>(&dict,
+                                             [](const TokenDictionary*) {}));
   if (!faerie.ok()) {
     std::cerr << faerie.status() << "\n";
     return 1;

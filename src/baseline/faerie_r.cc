@@ -7,14 +7,13 @@ namespace aeetes {
 
 namespace {
 
-/// Non-owning view of the derived dictionary's shared TokenDictionary.
-std::shared_ptr<TokenDictionary> NonOwningDict(const DerivedDictionary& dd) {
-  // Faerie only reads the dictionary after Build; the DerivedDictionary
-  // outlives FaerieR by contract, so an aliasing shared_ptr with a no-op
-  // deleter is safe here.
-  return std::shared_ptr<TokenDictionary>(
-      const_cast<TokenDictionary*>(&dd.token_dict()),
-      [](TokenDictionary*) {});
+/// Non-owning view of the derived dictionary's (frozen) TokenDictionary.
+/// The DerivedDictionary outlives FaerieR by contract, so a shared_ptr
+/// with a no-op deleter is safe here.
+std::shared_ptr<const TokenDictionary> NonOwningDict(
+    const DerivedDictionary& dd) {
+  return std::shared_ptr<const TokenDictionary>(&dd.token_dict(),
+                                                [](const TokenDictionary*) {});
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #ifndef AEETES_BASELINE_FUZZY_EXTRACTOR_H_
 #define AEETES_BASELINE_FUZZY_EXTRACTOR_H_
 
+#include <string>
 #include <vector>
 
 #include "src/core/document.h"
@@ -25,7 +26,8 @@ class FuzzyExtractor {
 
  private:
   const TokenDictionary& dict_;
-  std::vector<TokenSeq> entity_sets_;
+  /// Distinct token texts of each entity (FJ compares texts).
+  std::vector<std::vector<std::string>> entity_texts_;
   size_t min_size_ = 0;
   size_t max_size_ = 0;
   FuzzyJaccard fj_;

@@ -9,286 +9,6 @@
 namespace aeetes {
 
 // ---------------------------------------------------------------------------
-// TelemetryHub
-// ---------------------------------------------------------------------------
-
-TelemetryHub::TelemetryHub(const MetricsRegistry* registry)
-    : registry_(registry) {
-  AEETES_CHECK_NE(registry, static_cast<const MetricsRegistry*>(nullptr));
-}
-
-void TelemetryHub::TrackCounter(std::string_view name) {
-  AEETES_CHECK(!frozen_.load(std::memory_order_acquire))
-      << "TelemetryHub: tracking is frozen after the first Tick";
-  const Counter* c = registry_->FindCounter(name);
-  AEETES_CHECK_NE(c, static_cast<const Counter*>(nullptr))
-      << "TelemetryHub: unknown counter " << std::string(name);
-  counters_.push_back(TrackedCounter{std::string(name), c});
-}
-
-void TelemetryHub::TrackHistogram(std::string_view name) {
-  AEETES_CHECK(!frozen_.load(std::memory_order_acquire))
-      << "TelemetryHub: tracking is frozen after the first Tick";
-  const Histogram* h = registry_->FindHistogram(name);
-  AEETES_CHECK_NE(h, static_cast<const Histogram*>(nullptr))
-      << "TelemetryHub: unknown histogram " << std::string(name);
-  histograms_.push_back(TrackedHistogram{std::string(name), h});
-}
-
-void TelemetryHub::TrackAll() {
-  AEETES_CHECK(!frozen_.load(std::memory_order_acquire))
-      << "TelemetryHub: tracking is frozen after the first Tick";
-  for (const auto& [name, c] : registry_->Counters()) {
-    counters_.push_back(TrackedCounter{name, c});
-  }
-  for (const auto& [name, h] : registry_->Histograms()) {
-    histograms_.push_back(TrackedHistogram{name, h});
-  }
-}
-
-void TelemetryHub::FreezeLayout() {
-  // vector<atomic> value-initializes every cell to 0; tick numbers are
-  // 1-based, so 0 can double as "slot never written / being rewritten".
-  cells_ = std::vector<std::atomic<uint64_t>>(kRingSlots * Stride());
-  frozen_.store(true, std::memory_order_release);
-}
-
-void TelemetryHub::Tick() {
-  if (!frozen_.load(std::memory_order_acquire)) FreezeLayout();
-  const uint64_t tick = head_.load(std::memory_order_relaxed) + 1;
-  std::atomic<uint64_t>* slot = &cells_[((tick - 1) % kRingSlots) * Stride()];
-  // Seqlock write protocol without standalone fences: invalidate the
-  // version cell first, then write every data cell with release ordering —
-  // a release store keeps all program-order-earlier stores (including the
-  // invalidation) visible before itself, so no reader can validate a
-  // half-rewritten slot against the version it is recycling.
-  slot[0].store(0, std::memory_order_relaxed);
-  size_t c = 1;
-  slot[c++].store(static_cast<uint64_t>(clock_.ElapsedMicros()),
-                  std::memory_order_release);
-  for (const TrackedCounter& tc : counters_) {
-    slot[c++].store(tc.counter->value(), std::memory_order_release);
-  }
-  for (const TrackedHistogram& th : histograms_) {
-    slot[c++].store(th.histogram->count(), std::memory_order_release);
-    slot[c++].store(th.histogram->sum(), std::memory_order_release);
-    for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      slot[c++].store(th.histogram->bucket(i), std::memory_order_release);
-    }
-  }
-  slot[0].store(tick, std::memory_order_release);
-  head_.store(tick, std::memory_order_release);
-}
-
-bool TelemetryHub::ReadSlot(uint64_t tick, SlotView* out) const {
-  const size_t stride = Stride();
-  const std::atomic<uint64_t>* slot =
-      &cells_[((tick - 1) % kRingSlots) * stride];
-  if (slot[0].load(std::memory_order_acquire) != tick) return false;
-  out->tick = tick;
-  out->elapsed_us = slot[1].load(std::memory_order_acquire);
-  out->cells.resize(stride - 2);
-  for (size_t i = 0; i + 2 < stride; ++i) {
-    out->cells[i] = slot[i + 2].load(std::memory_order_acquire);
-  }
-  // Acquire loads cannot sink below this re-check; a writer recycling the
-  // slot mid-copy flips the version (to 0, then to tick + kRingSlots) and
-  // the copy is discarded.
-  return slot[0].load(std::memory_order_acquire) == tick;
-}
-
-bool TelemetryHub::ReadWindow(double window_seconds, SlotView* newest,
-                              SlotView* base) const {
-  uint64_t head = 0;
-  bool have_newest = false;
-  // The writer can lap a slot between our head load and the slot read;
-  // chasing the new head a few times always catches up (ticks are seconds
-  // apart in production, and even a 1ms-tick hammer cannot lap 4 times
-  // inside this loop).
-  for (int attempt = 0; attempt < 4 && !have_newest; ++attempt) {
-    head = head_.load(std::memory_order_acquire);
-    if (head < 2) return false;
-    have_newest = ReadSlot(head, newest);
-  }
-  if (!have_newest) return false;
-  const auto window_us = static_cast<uint64_t>(window_seconds * 1e6);
-  const uint64_t target_us =
-      newest->elapsed_us >= window_us ? newest->elapsed_us - window_us : 0;
-  const uint64_t oldest = head >= kRingSlots ? head - (kRingSlots - 1) : 1;
-  bool have_base = false;
-  SlotView candidate;
-  for (uint64_t t = head - 1;; --t) {
-    if (ReadSlot(t, &candidate)) {
-      *base = candidate;
-      have_base = true;
-      // First slot at or beyond the window boundary; older slots only
-      // widen the span past what was asked for.
-      if (candidate.elapsed_us <= target_us) break;
-    }
-    if (t == oldest) break;
-  }
-  return have_base;
-}
-
-WindowedView TelemetryHub::Window(std::string_view histogram_name,
-                                  double window_seconds) const {
-  WindowedView view;
-  size_t idx = histograms_.size();
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    if (histograms_[i].name == histogram_name) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == histograms_.size()) return view;
-  SlotView newest, base;
-  if (!ReadWindow(window_seconds, &newest, &base)) return view;
-  const size_t off = counters_.size() + idx * (2 + Histogram::kNumBuckets);
-  // Clamp negative deltas to zero: a ResetAll between the two ticks makes
-  // the newer cumulative value smaller, which must not underflow.
-  auto delta = [](uint64_t newer, uint64_t older) {
-    return newer >= older ? newer - older : 0;
-  };
-  const uint64_t samples = delta(newest.cells[off], base.cells[off]);
-  uint64_t buckets[Histogram::kNumBuckets];
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    buckets[i] = delta(newest.cells[off + 2 + i], base.cells[off + 2 + i]);
-  }
-  const uint64_t span_us = delta(newest.elapsed_us, base.elapsed_us);
-  if (span_us == 0) return view;
-  view.valid = true;
-  view.span_seconds = static_cast<double>(span_us) / 1e6;
-  view.samples = samples;
-  view.rate_1m = static_cast<double>(samples) / view.span_seconds;
-  view.p50 = PercentileFromBuckets(buckets, samples, 0.50);
-  view.p95 = PercentileFromBuckets(buckets, samples, 0.95);
-  view.p99 = PercentileFromBuckets(buckets, samples, 0.99);
-  return view;
-}
-
-double TelemetryHub::Rate(std::string_view counter_name,
-                          double window_seconds) const {
-  size_t idx = counters_.size();
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    if (counters_[i].name == counter_name) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == counters_.size()) return -1.0;
-  SlotView newest, base;
-  if (!ReadWindow(window_seconds, &newest, &base)) return -1.0;
-  const uint64_t span_us = newest.elapsed_us >= base.elapsed_us
-                               ? newest.elapsed_us - base.elapsed_us
-                               : 0;
-  if (span_us == 0) return -1.0;
-  const uint64_t events = newest.cells[idx] >= base.cells[idx]
-                              ? newest.cells[idx] - base.cells[idx]
-                              : 0;
-  return static_cast<double>(events) /
-         (static_cast<double>(span_us) / 1e6);
-}
-
-double TelemetryHub::PercentileFromBuckets(
-    const uint64_t buckets[Histogram::kNumBuckets], uint64_t total,
-    double q) {
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t rank =
-      static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-  rank = std::clamp<uint64_t>(rank, 1, total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    const uint64_t count = buckets[i];
-    if (count == 0 || rank > cumulative + count) {
-      cumulative += count;
-      continue;
-    }
-    if (i == 0) return 0.0;  // the exact-zeros bucket
-    const double lo = std::ldexp(1.0, static_cast<int>(i) - 1);
-    if (i == Histogram::kNumBuckets - 1) {
-      // Overflow bucket: unbounded above, so interpolation would be
-      // fiction — clamp to its lower bound (2^30 us ~ 18 min).
-      return lo;
-    }
-    // Log-linear interpolation: the k-th of c samples inside the octave
-    // [lo, 2*lo) sits at lo * 2^(k/c), capped at the inclusive upper
-    // bound so a fully-ranked bucket never reports past its own range.
-    const double frac =
-        static_cast<double>(rank - cumulative) / static_cast<double>(count);
-    const double value = lo * std::exp2(frac);
-    const double hi = static_cast<double>(Histogram::BucketUpperBound(i));
-    return std::min(value, hi);
-  }
-  return 0.0;  // bucket sum < total can only mean torn input; be benign
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryTicker
-// ---------------------------------------------------------------------------
-
-TelemetryTicker::TelemetryTicker(TelemetryHub* hub)
-    : TelemetryTicker(hub, Options()) {}
-
-TelemetryTicker::TelemetryTicker(TelemetryHub* hub, Options options)
-    : hub_(hub), options_(options) {
-  AEETES_CHECK_NE(hub, static_cast<TelemetryHub*>(nullptr));
-  if (options_.interval_ms < 1) options_.interval_ms = 1;
-}
-
-TelemetryTicker::~TelemetryTicker() { Stop(); }
-
-void TelemetryTicker::SetOnTick(std::function<void()> hook) {
-  AEETES_CHECK(!thread_.joinable())
-      << "TelemetryTicker: set the hook before Start";
-  on_tick_ = std::move(hook);
-}
-
-void TelemetryTicker::Start() {
-  if (thread_.joinable()) return;  // already running (owner-thread API)
-  {
-    MutexLock lock(mu_);
-    stop_requested_ = false;
-    running_ = true;
-  }
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void TelemetryTicker::Stop() {
-  if (!thread_.joinable()) return;
-  {
-    MutexLock lock(mu_);
-    stop_requested_ = true;
-  }
-  cv_.NotifyAll();
-  thread_.join();
-  thread_ = std::thread();
-  MutexLock lock(mu_);
-  running_ = false;
-}
-
-bool TelemetryTicker::running() const {
-  MutexLock lock(mu_);
-  return running_;
-}
-
-void TelemetryTicker::Loop() {
-  mu_.Lock();
-  while (!stop_requested_) {
-    // Cadence is approximate by design: a spurious wakeup ticks early,
-    // which only narrows one window — readers use the per-slot timestamps,
-    // never the nominal interval.
-    (void)cv_.WaitFor(mu_, options_.interval_ms);
-    if (stop_requested_) break;
-    mu_.Unlock();
-    if (on_tick_) on_tick_();
-    hub_->Tick();
-    mu_.Lock();
-  }
-  mu_.Unlock();
-}
-
-// ---------------------------------------------------------------------------
 // FlightRecorder
 // ---------------------------------------------------------------------------
 

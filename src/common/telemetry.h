@@ -20,172 +20,11 @@
 namespace aeetes {
 
 /// Serving-grade telemetry on top of the point-in-time MetricsRegistry
-/// (DESIGN.md §13):
-///
-///  - TelemetryHub: a lock-free ring of per-interval metric snapshots. A
-///    single writer (the ticker) rotates one slot per tick; readers diff
-///    any two slots to get *rolling* rates and percentiles instead of the
-///    since-process-start numbers the registry itself reports.
-///  - TelemetryTicker: the background thread that calls Tick() on a fixed
-///    cadence, with an optional per-tick hook for gauge republication.
-///  - FlightRecorder: always-on sampled tracing — 1-in-N Extract calls
-///    keep their full span tree, any call over a latency threshold is
-///    retained unconditionally, and a bounded ring keeps the K slowest.
-
-/// Rolling-window digest of one histogram: event rate plus interpolated
-/// percentiles over (approximately) the requested window. `valid` is false
-/// until two ticks exist; `span_seconds` reports the span actually used,
-/// which can be shorter than requested (not enough history yet) or longer
-/// (coarse tick cadence).
-struct WindowedView {
-  bool valid = false;
-  double span_seconds = 0.0;  // actual distance between the diffed slots
-  uint64_t samples = 0;       // histogram count delta inside the window
-  double rate_1m = 0.0;       // samples / span_seconds
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Fixed-size ring of per-tick snapshots of a tracked subset of a
-/// MetricsRegistry's counters and histograms.
-///
-/// Concurrency contract:
-///  - Track*()/TrackAll() happen before the first Tick(); the tracked set
-///    then freezes (CHECK-enforced) so the ring layout is immutable.
-///  - Tick() has a single caller at a time (the ticker thread).
-///  - Window()/Rate() may run on any thread concurrently with Tick().
-///
-/// Every ring cell is a relaxed atomic and each slot carries a version
-/// cell (the tick number) written with release ordering after the data
-/// cells, then re-checked by readers after copying — a seqlock over
-/// atomics. A reader that races a writer lapping the ring sees a version
-/// mismatch and discards the slot; there is no blocking and no UB. (Per
-/// the repo's TSan convention this uses acquire/release on the version
-/// cells rather than standalone fences.)
-class TelemetryHub {
- public:
-  static constexpr size_t kRingSlots = 128;
-
-  explicit TelemetryHub(const MetricsRegistry* registry);
-
-  /// Adds one metric to the tracked set; CHECK-aborts when the name is not
-  /// registered (of that kind) or when called after the first Tick.
-  void TrackCounter(std::string_view name);
-  void TrackHistogram(std::string_view name);
-  /// Tracks every counter and histogram registered right now.
-  void TrackAll();
-
-  /// Snapshots every tracked metric into the next ring slot. Single
-  /// writer; called by TelemetryTicker (or directly in tests).
-  void Tick();
-
-  /// Rolling digest of a tracked histogram over the trailing
-  /// `window_seconds`; invalid view when the name is untracked or fewer
-  /// than two ticks exist.
-  [[nodiscard]] WindowedView Window(std::string_view histogram_name,
-                                    double window_seconds = 60.0) const;
-
-  /// Rolling events/second of a tracked counter; negative when the name is
-  /// untracked or fewer than two ticks exist.
-  [[nodiscard]] double Rate(std::string_view counter_name,
-                            double window_seconds = 60.0) const;
-
-  [[nodiscard]] uint64_t ticks() const {
-    return head_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] size_t tracked_counters() const { return counters_.size(); }
-  [[nodiscard]] size_t tracked_histograms() const {
-    return histograms_.size();
-  }
-
-  /// Quantile q in [0,1] over 32 disjoint log2 bucket counts (the
-  /// Histogram layout), log-linearly interpolated inside each bucket:
-  /// within bucket i >= 1 spanning [2^(i-1), 2^i), the k-th of c samples
-  /// sits at lo * 2^(k/c), capped at the bucket's inclusive upper bound;
-  /// bucket 0 is exact zeros; the overflow bucket clamps to its lower
-  /// bound 2^30 (values above it are unbounded, so no interpolation is
-  /// honest there). Exposed for direct boundary testing.
-  static double PercentileFromBuckets(
-      const uint64_t buckets[Histogram::kNumBuckets], uint64_t total,
-      double q);
-
- private:
-  struct TrackedCounter {
-    std::string name;
-    const Counter* counter;
-  };
-  struct TrackedHistogram {
-    std::string name;
-    const Histogram* histogram;
-  };
-
-  /// Decoded copy of one ring slot.
-  struct SlotView {
-    uint64_t tick = 0;
-    uint64_t elapsed_us = 0;  // hub clock at snapshot time
-    std::vector<uint64_t> cells;
-  };
-
-  /// Cells per slot: [version, elapsed_us, counters...,
-  /// per-histogram (count, sum, buckets[32])...].
-  [[nodiscard]] size_t Stride() const {
-    return 2 + counters_.size() + histograms_.size() * (2 + Histogram::kNumBuckets);
-  }
-  void FreezeLayout();
-  /// Seqlock read of the slot holding `tick`; false when already recycled.
-  bool ReadSlot(uint64_t tick, SlotView* out) const;
-  /// Newest slot plus the best base slot >= window_us older; false when
-  /// fewer than two slots are readable.
-  bool ReadWindow(double window_seconds, SlotView* newest,
-                  SlotView* base) const;
-
-  const MetricsRegistry* registry_;
-  Stopwatch clock_;  // hub-relative monotonic time for slot spacing
-  std::vector<TrackedCounter> counters_;
-  std::vector<TrackedHistogram> histograms_;
-  std::vector<std::atomic<uint64_t>> cells_;  // kRingSlots * Stride()
-  std::atomic<uint64_t> head_{0};             // last completed tick, 1-based
-  std::atomic<bool> frozen_{false};
-};
-
-/// Background thread driving TelemetryHub::Tick on a fixed cadence.
-/// Start/Stop are idempotent; the destructor stops the thread. An optional
-/// hook runs right before each tick on the ticker thread — the runtime
-/// uses it to republish pool gauges so every snapshot is fresh.
-class TelemetryTicker {
- public:
-  struct Options {
-    int64_t interval_ms = 1000;
-  };
-
-  explicit TelemetryTicker(TelemetryHub* hub);
-  TelemetryTicker(TelemetryHub* hub, Options options);
-  ~TelemetryTicker();
-
-  TelemetryTicker(const TelemetryTicker&) = delete;
-  TelemetryTicker& operator=(const TelemetryTicker&) = delete;
-
-  /// Set before Start (not thread-safe against a running ticker).
-  void SetOnTick(std::function<void()> hook);
-
-  void Start();
-  void Stop();
-  [[nodiscard]] bool running() const;
-
- private:
-  void Loop();
-
-  TelemetryHub* hub_;
-  Options options_;
-  std::function<void()> on_tick_;
-  mutable Mutex mu_;
-  CondVar cv_;
-  bool stop_requested_ AEETES_GUARDED_BY(mu_) = false;
-  bool running_ AEETES_GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
-
+/// (DESIGN.md §13): the FlightRecorder, always-on sampled tracing — 1-in-N
+/// Extract calls keep their full span tree, any call over a latency
+/// threshold is retained unconditionally, and a bounded ring keeps the K
+/// slowest. Rates and quantiles over time come from the cumulative
+/// histograms the registry exports (Prometheus computes them at scrape).
 struct FlightRecorderOptions {
   /// Keep the full span tree of every N-th call; 0 disables sampling
   /// (slow calls are still retained).

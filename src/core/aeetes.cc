@@ -176,9 +176,8 @@ void Aeetes::EnableFlightRecorder(const FlightRecorderOptions& options) {
   flight_ = std::make_unique<FlightRecorder>(options);
 }
 
-Document Aeetes::EncodeDocument(std::string_view text) {
-  MutexLock lock(encode_mu_);
-  return Document::FromText(text, tokenizer_, dd_->mutable_token_dict());
+Document Aeetes::EncodeDocument(std::string_view text) const {
+  return Document::FromText(text, tokenizer_, dd_->token_dict());
 }
 
 Result<Aeetes::ExtractionResult> Aeetes::Extract(const Document& doc,
@@ -368,46 +367,24 @@ Result<std::vector<Aeetes::Lookup>> Aeetes::LookupString(
     return Status::InvalidArgument("threshold must be in (0, 1]");
   }
   std::vector<Lookup> hits;
-  const std::vector<std::string> words =
-      tokenizer_.TokenizeToStrings(mention);
-  if (words.empty()) return hits;
-
-  // Read-only encoding: tokens the dictionary has never seen are NOT
-  // interned (this method is const and safe to run concurrently with
-  // extractions). They cannot occur in any derived entity, so — like
-  // frequency-0 interned tokens — they only pad the mention's set size;
-  // `padding` carries that count into verification.
   const TokenDictionary& dict = dd_->token_dict();
-  TokenSeq interned;
-  interned.reserve(words.size());
-  std::vector<std::string_view> unknown;
-  for (const std::string& w : words) {
-    if (const std::optional<TokenId> id = dict.Lookup(w)) {
-      interned.push_back(*id);
-    } else {
-      unknown.push_back(w);
-    }
-  }
-  std::sort(unknown.begin(), unknown.end());
-  const size_t padding = static_cast<size_t>(
-      std::unique(unknown.begin(), unknown.end()) - unknown.begin());
+  const Document doc = Document::FromText(mention, tokenizer_, dict);
+  if (doc.size() == 0) return hits;
 
   // The mention is exactly one window; it must be an admissible window
   // length, the same gate document extraction applies.
   const LengthRange win_len = SubstringLengthBounds(
       options_.metric, dd_->min_set_size(), dd_->max_set_size(), tau);
-  if (!win_len.Contains(words.size())) return hits;
+  if (!win_len.Contains(doc.size())) return hits;
 
-  const TokenSeq ordered = BuildOrderedSet(interned, dict);
-  const size_t set_size = ordered.size() + padding;
-  if (set_size == 0) return hits;
+  const TokenSeq ordered = BuildOrderedSet(doc.tokens(), dict);
+  const size_t set_size = ordered.size();
 
   // Reuse the indexed filter: probe every distinct mention token against
   // the clustered index under the length and prefix filters. (The
   // document path probes only the mention-side tau-prefix; probing the
   // full set is equally sound — it can only admit extra candidates, and
-  // verification below is exact — and sidesteps needing ids for the
-  // unknown tokens that would sit in that prefix.)
+  // verification below is exact.)
   const LengthRange partner =
       PartnerLengthRange(options_.metric, set_size, tau);
   std::vector<char> seen(dd_->num_origins(), 0);
@@ -438,7 +415,7 @@ Result<std::vector<Aeetes::Lookup>> Aeetes::LookupString(
   jopts.weighted = options_.weighted;
   const JaccArVerifier verifier(*dd_, jopts);
   for (const EntityId e : origins) {
-    const JaccArScore s = verifier.BestAbove(e, ordered, tau, padding);
+    const JaccArScore s = verifier.BestAbove(e, ordered, tau);
     if (ScorePasses(s.score, tau)) {
       hits.push_back(Lookup{e, s.score, s.best_derived});
     }

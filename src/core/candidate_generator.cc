@@ -359,9 +359,12 @@ void GenerateLazy(const ProbeContext& ctx, const LengthRange& win_len,
     partner_tab[l] = PartnerLengthRange(ctx.metric, l, ctx.tau);
   }
 
+  // `counts` is indexed by TokenId, so it covers the document's unseen
+  // tokens (ids past the dictionary) too.
   const TokenDictionary& dict = ctx.dd.token_dict();
   std::vector<uint32_t>& counts = scratch.token_counts;
-  if (counts.size() < dict.size()) counts.resize(dict.size(), 0);
+  const size_t id_end = std::max(dict.size(), ctx.doc.token_id_end());
+  if (counts.size() < id_end) counts.resize(id_end, 0);
 
   {
     TraceScope enumeration_span(trace, "window_enumeration");

@@ -8,7 +8,7 @@
 namespace aeetes {
 
 Result<CorpusExtraction> ExtractCorpus(
-    Aeetes& aeetes, const std::vector<std::string>& documents, double tau,
+    const Aeetes& aeetes, const std::vector<std::string>& documents, double tau,
     const CorpusExtractionOptions& options) {
   if (!(tau > 0.0) || tau > 1.0) {
     return Status::InvalidArgument("threshold must be in (0, 1]");
@@ -17,16 +17,13 @@ Result<CorpusExtraction> ExtractCorpus(
   out.per_document.resize(documents.size());
   if (documents.empty()) return out;
 
-  // Serial phase: encode (interns unseen tokens into the shared
-  // dictionary).
   std::vector<Document> encoded;
   encoded.reserve(documents.size());
   for (const std::string& text : documents) {
     encoded.push_back(aeetes.EncodeDocument(text));
   }
 
-  // Parallel phase: extraction is const on the built structures; the
-  // runtime pool fans it out and merges deterministically.
+  // The runtime pool fans extraction out and merges deterministically.
   ParallelExtractorOptions popts;
   popts.num_threads = options.num_threads;
   AEETES_ASSIGN_OR_RETURN(std::unique_ptr<ParallelExtractor> extractor,

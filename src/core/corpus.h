@@ -29,13 +29,11 @@ struct CorpusExtraction {
   uint64_t total_matches = 0;
 };
 
-/// Extracts from many documents in parallel. Documents are encoded
-/// serially first (interning new tokens mutates the shared dictionary,
-/// which is not thread-safe), then extraction — a const operation — fans
-/// out over worker threads. Results are deterministic and ordered by
-/// document regardless of thread count.
+/// Extracts from many documents in parallel: documents are encoded, then
+/// extraction fans out over worker threads. Results are deterministic and
+/// ordered by document regardless of thread count.
 Result<CorpusExtraction> ExtractCorpus(
-    Aeetes& aeetes, const std::vector<std::string>& documents, double tau,
+    const Aeetes& aeetes, const std::vector<std::string>& documents, double tau,
     const CorpusExtractionOptions& options = {});
 
 /// Keeps the k highest-scoring matches (ties broken by position, then

@@ -44,11 +44,8 @@ struct EngineImageStats {
 /// reason). The mapping is read-only and the views are immutable after
 /// wiring, so concurrent readers — including multiple processes sharing
 /// one snapshot file through the page cache — need no synchronization.
-/// The one mutable piece, the token dictionary's overflow tier (document
-/// tokens interned after load), lives on the heap and follows the usual
-/// EncodeDocument serialization contract — compiler-enforced through
-/// Aeetes::encode_mu_ (DESIGN.md §12); the const read side needs no lock
-/// and therefore carries no capability annotations.
+/// Nothing in an image changes after wiring: documents are encoded
+/// against its dictionary read-only (see Document).
 class EngineImage {
  public:
   /// Flattens offline build parts into a fresh heap arena and wires the
@@ -68,9 +65,6 @@ class EngineImage {
   [[nodiscard]] const DerivedDictionary& derived_dictionary() const {
     return *dd_;
   }
-  /// Mutable only for the token dictionary's overflow tier
-  /// (EncodeDocument); the arena-backed state is immutable.
-  DerivedDictionary& mutable_derived_dictionary() { return *dd_; }
   [[nodiscard]] const ClusteredIndex& index() const { return *index_; }
 
   /// The serialized image; SaveSnapshot writes these bytes verbatim.

@@ -109,8 +109,7 @@ Result<std::unique_ptr<ClusteredIndex>> ClusteredIndex::WireFromImage(
   AEETES_ASSIGN_OR_RETURN(idx->entries_,
                           view.array<PostingEntry>(img::kIndexEntries));
 
-  // A saved dictionary may carry document tokens interned after the index
-  // was built; those have no posting lists.
+  // Tail tokens without postings may be omitted from `lists`.
   if (idx->lists_.size() > token_count) {
     return Status::IOError("engine image: index lists exceed token count");
   }

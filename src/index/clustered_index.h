@@ -48,7 +48,8 @@ struct LengthGroup {
 class ClusteredIndex {
  public:
   /// Length groups of token `t`'s posting list (empty range for tokens
-  /// without postings, including tokens interned after Build).
+  /// without postings, including ids past the dictionary — a document's
+  /// unseen tokens).
   struct ListRange {
     uint32_t begin = 0;  // into length_groups()
     uint32_t end = 0;
@@ -77,8 +78,8 @@ class ClusteredIndex {
   /// outlive the result). Validates the full nesting chain — list ranges
   /// into length groups into origin groups into entries — plus id ranges,
   /// so release builds can serve hostile snapshots safely. `lists` may be
-  /// shorter than `token_count` (tokens interned after the index was built
-  /// have no postings).
+  /// shorter than `token_count` (list() reads missing tail entries as
+  /// empty).
   static Result<std::unique_ptr<ClusteredIndex>> WireFromImage(
       const ImageView& view, size_t num_origins, size_t num_derived,
       size_t token_count);

@@ -134,11 +134,7 @@ Result<ParallelExtraction> ParallelExtractor::ExtractAllWithStrategy(
           return aeetes_.ExtractIntoWithStrategy(scratch, doc, tau, strategy,
                                                  trace);
         }
-        const TokenSeq& tokens = doc.tokens();
-        const auto first =
-            tokens.begin() + static_cast<ptrdiff_t>(task.begin);
-        const Document chunk = Document::FromTokens(
-            TokenSeq(first, first + static_cast<ptrdiff_t>(task.len)));
+        const Document chunk = doc.Slice(task.begin, task.len);
         auto chunk_result = aeetes_.ExtractIntoWithStrategy(
             scratch, chunk, tau, strategy, trace);
         if (chunk_result.ok()) {

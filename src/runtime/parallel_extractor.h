@@ -64,9 +64,9 @@ struct ParallelExtraction {
 };
 
 /// Fans document extraction out over a work-stealing ThreadPool against
-/// one shared, immutable `Aeetes`. The online path is const and
-/// race-free (the thread-safety contract in aeetes.h), so the only serial
-/// phase is encoding; pass pre-encoded Documents here.
+/// one shared, immutable `Aeetes`. Encoding and extraction are const and
+/// race-free (the thread-safety contract in aeetes.h); pass encoded
+/// Documents here.
 ///
 /// The extractor owns its pool and is reusable: ExtractAll may be called
 /// any number of times (even concurrently — per-call state is local and
@@ -105,8 +105,7 @@ class ParallelExtractor {
   }
 
   /// Publishes the pool snapshot as `runtime.*` gauges into the engine's
-  /// registry. ExtractAll* calls this after every run; long-lived callers
-  /// hook it to a TelemetryTicker for fresh per-tick values.
+  /// registry. ExtractAll* calls this after every run.
   void PublishRuntimeMetrics() const {
     pool_->PublishMetrics(aeetes_.mutable_metrics());
   }

@@ -318,6 +318,7 @@ std::vector<CollectionManager::Info> CollectionManager::List() const {
     info.source = engine->source;
     info.delta_entities = engine->delta->live_entities();
     info.tombstones = engine->delta->tombstone_count();
+    info.dict_tokens = engine->aeetes->derived_dictionary().token_dict().size();
     out.push_back(std::move(info));
   }
   return out;  // map iteration is already name-sorted

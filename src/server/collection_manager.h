@@ -30,8 +30,7 @@ namespace server {
 /// keeps the whole engine (image, index, extractor pool) alive until it
 /// finishes, even if the collection is swapped or deleted meanwhile —
 /// that refcount IS the retirement protocol. After publication the engine
-/// is read-only except for Aeetes' designated-mutable members (metrics,
-/// encode interning, which the batcher serializes).
+/// is read-only except for Aeetes' designated-mutable metrics registry.
 struct ServingEngine {
   std::string name;
   uint64_t version = 1;  // bumps on every swap / compaction
@@ -138,6 +137,9 @@ class CollectionManager {
     std::string source;
     size_t delta_entities = 0;
     size_t tombstones = 0;
+    /// Tokens in the engine's dictionary; fixed from build to retirement
+    /// (documents never add to it).
+    size_t dict_tokens = 0;
   };
   /// All live collections, sorted by name.
   std::vector<Info> List() const AEETES_EXCLUDES(mu_);

@@ -106,8 +106,8 @@ void RequestBatcher::RunGroup(std::vector<Job> group) {
   batches_.Increment();
   batch_size_.Record(total_docs);
 
-  // Encode serially on this thread — the contract point: no Extract is in
-  // flight on this engine while interning happens.
+  // Encoding runs here on the dispatcher; it only reads the engine's
+  // dictionary, so it may overlap extraction on any thread.
   std::vector<Document> documents;
   documents.reserve(total_docs);
   for (const Job& job : group) {

@@ -25,11 +25,6 @@ namespace server {
 /// request submission overhead. Per-document results return to each
 /// submitter in its original document order.
 ///
-/// The dispatcher is also the serialization point the Aeetes thread-safety
-/// contract requires: EncodeDocument (which interns tokens) and Extract
-/// never overlap on an engine because both only ever run on this one
-/// thread — the pool workers under ExtractAll touch only the const path.
-///
 /// Each job pins its engine via shared_ptr: a swap or delete between
 /// submit and dispatch retires the old engine only after the batch that
 /// holds it completes.

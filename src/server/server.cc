@@ -251,7 +251,9 @@ void Server::Loop() {
       if (alive && (fds[i].revents & POLLOUT) != 0) alive = WriteReady(conn);
       if (alive && (fds[i].revents & POLLHUP) != 0 &&
           conn.out_off >= conn.outbox.size()) {
-        // Peer hung up and nothing is left to flush toward it.
+        // Both directions are shut (a reset, or a lingering close whose
+        // peer has closed too): nothing more can reach the peer, so
+        // responses still in flight are dropped with the connection.
         alive = false;
       }
       if (!alive) {
@@ -320,7 +322,13 @@ bool Server::ReadReady(Connection& conn) {
       }
       continue;
     }
-    if (n == 0) return false;  // peer closed
+    if (n == 0) {
+      // Peer closed its write side. It may still be reading: stop reading
+      // and close once every response in flight is written (Loop's
+      // closing && Quiesced check).
+      conn.closing = true;
+      return true;
+    }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     return false;
@@ -488,6 +496,8 @@ std::string Server::HandleAdmin(const Request& req) {
         out += std::to_string(info.delta_entities);
         out += ",\"tombstones\":";
         out += std::to_string(info.tombstones);
+        out += ",\"dict_tokens\":";
+        out += std::to_string(info.dict_tokens);
         out += '}';
       }
       out += "]}";

@@ -33,11 +33,11 @@ JaccArScore JaccArVerifier::Score(EntityId e,
 
 JaccArScore JaccArVerifier::BestAbove(EntityId e,
                                       const TokenSeq& substring_ordered_set,
-                                      double tau, size_t padding) const {
+                                      double tau) const {
   JaccArScore best;
   const auto [begin, end] = dd_.DerivedRange(e);
   const TokenDictionary& dict = dd_.token_dict();
-  const size_t x = substring_ordered_set.size() + padding;
+  const size_t x = substring_ordered_set.size();
   const LengthRange partner = PartnerLengthRange(options_.metric, x, tau);
   // The length filter rejects most derived entities on size alone, so it
   // runs as a binary search over the dictionary's size-sorted index (4-byte
@@ -82,19 +82,11 @@ JaccArScore JaccArVerifier::BestAbove(EntityId e,
   return best;
 }
 
-JaccArScore JaccArVerifier::BestAboveRanks(EntityId e,
-                                           const TokenRank* substring_ranks,
-                                           size_t substring_size, double tau,
-                                           size_t padding) const {
-  const size_t x = substring_size + padding;
-  return BestAboveRanksPartner(e, substring_ranks, substring_size, x, tau,
-                               PartnerLengthRange(options_.metric, x, tau));
-}
-
 JaccArScore JaccArVerifier::BestAboveRanksPartner(
     EntityId e, const TokenRank* substring_ranks, size_t substring_size,
-    size_t x, double tau, const LengthRange& partner) const {
+    double tau, const LengthRange& partner) const {
   JaccArScore best;
+  const size_t x = substring_size;
   const auto [begin, end] = dd_.DerivedRange(e);
   const Span<uint32_t> sizes = dd_.size_sorted_sizes();
   const Span<DerivedId> ids = dd_.size_sorted_ids();
@@ -169,11 +161,26 @@ JaccArScore JaccArVerifier::BestAboveRanksPartner(
 
 JaccArScore FuzzyJaccArVerifier::Score(
     EntityId e, const TokenSeq& substring_ordered_set) const {
+  std::vector<std::string> texts;
+  texts.reserve(substring_ordered_set.size());
+  for (const TokenId t : substring_ordered_set) {
+    texts.emplace_back(dd_.token_dict().Text(t));
+  }
+  return Score(e, texts);
+}
+
+JaccArScore FuzzyJaccArVerifier::Score(
+    EntityId e, const std::vector<std::string>& substring_texts) const {
   JaccArScore best;
   const auto [begin, end] = dd_.DerivedRange(e);
   const TokenDictionary& dict = dd_.token_dict();
+  std::vector<std::string> derived_texts;
   for (DerivedId d = begin; d < end; ++d) {
-    double s = fj_.Similarity(dd_.ordered_set(d), substring_ordered_set, dict);
+    derived_texts.clear();
+    for (const TokenId t : dd_.ordered_set(d)) {
+      derived_texts.emplace_back(dict.Text(t));
+    }
+    double s = fj_.Similarity(derived_texts, substring_texts);
     if (weighted_) s *= dd_.weight(d);
     if (s > best.score) {
       best.score = s;

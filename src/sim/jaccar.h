@@ -2,6 +2,8 @@
 #define AEETES_SIM_JACCAR_H_
 
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "src/sim/fuzzy_jaccard.h"
 #include "src/sim/similarity.h"
@@ -55,28 +57,16 @@ class JaccArVerifier {
   /// work (i)): derived entities whose overlap cannot reach tau abort
   /// after a few token comparisons. The returned score is exact whenever
   /// it is >= tau; when JaccAR(e, s) < tau the returned score is 0 with no
-  /// witness. This is what the verification phase uses.
-  ///
-  /// `padding` counts distinct substring tokens that are not materialized
-  /// in `substring_ordered_set` but are known to occur in no derived
-  /// entity (e.g. mention tokens absent from the dictionary, which a const
-  /// caller cannot intern): they enlarge the substring's set size without
-  /// ever contributing overlap, exactly as frequency-0 interned tokens do.
+  /// witness. LookupString uses this form.
   JaccArScore BestAbove(EntityId e, const TokenSeq& substring_ordered_set,
-                        double tau, size_t padding = 0) const;
+                        double tau) const;
 
   /// BestAbove over the substring's pre-materialized rank array (see
-  /// BuildOrderedRanksInto). The overlap merges compare plain integers
-  /// against the dictionary's flat per-derived rank arena — this is the
-  /// verification hot path.
-  JaccArScore BestAboveRanks(EntityId e, const TokenRank* substring_ranks,
-                             size_t substring_size, double tau,
-                             size_t padding = 0) const;
-
-  /// Hot-path variant with the substring-dependent inputs precomputed by
-  /// the caller: `x` is the padded substring set size and `partner` its
-  /// partner length range — both constant per substring, so verification
-  /// computes them once per window instead of once per candidate.
+  /// BuildOrderedRanksInto) — the verification hot path: the overlap
+  /// merges compare plain integers against the dictionary's flat
+  /// per-derived rank arena. `partner` is the substring's partner length
+  /// range, precomputed by the caller once per window instead of once per
+  /// candidate.
   ///
   /// Origin-union bound: when at least DerivedDictionary::kUnionMinDerived
   /// derived entities pass the length filter, one early-terminating merge
@@ -86,8 +76,7 @@ class JaccArVerifier {
   /// `bound_pruned` set (DESIGN.md §10).
   JaccArScore BestAboveRanksPartner(EntityId e,
                                     const TokenRank* substring_ranks,
-                                    size_t substring_size, size_t x,
-                                    double tau,
+                                    size_t substring_size, double tau,
                                     const LengthRange& partner) const;
 
   [[nodiscard]] const JaccArOptions& options() const { return options_; }
@@ -117,6 +106,11 @@ class FuzzyJaccArVerifier {
   /// Max Fuzzy Jaccard over the derived entities of `e`.
   [[nodiscard]] JaccArScore Score(
       EntityId e, const TokenSeq& substring_ordered_set) const;
+
+  /// Score against the substring's token texts — the form for document
+  /// windows, whose unseen tokens have no text in the dictionary.
+  [[nodiscard]] JaccArScore Score(
+      EntityId e, const std::vector<std::string>& substring_texts) const;
 
  private:
   const DerivedDictionary& dd_;

@@ -647,8 +647,7 @@ Result<DerivedDictParts> DerivedDictionary::ToParts() const {
   }
   parts.origin_begin.assign(origin_begin_.begin(), origin_begin_.end());
 
-  // Clone the dictionary in id order (including overflow-tier document
-  // tokens, which keep frequency 0) so the repacked image is
+  // Clone the dictionary in id order so the repacked image is
   // self-contained.
   auto dict = std::make_unique<TokenDictionary>();
   for (size_t t = 0; t < dict_->size(); ++t) {

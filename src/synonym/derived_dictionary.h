@@ -186,7 +186,6 @@ class DerivedDictionary {
   }
 
   [[nodiscard]] const TokenDictionary& token_dict() const { return *dict_; }
-  TokenDictionary& mutable_token_dict() { return *dict_; }
 
   /// Derived ids belonging to origin `e` (contiguous range).
   [[nodiscard]] std::pair<DerivedId, DerivedId> DerivedRange(EntityId e) const {

@@ -3,15 +3,19 @@
 #include <string>
 
 #include "src/common/hash.h"
+#include "src/common/logging.h"
 
 namespace aeetes {
 
-std::optional<TokenId> TokenDictionary::BaseLookup(
-    std::string_view text) const {
-  if (base_count_ == 0) return std::nullopt;
+std::optional<TokenId> TokenDictionary::Lookup(std::string_view text,
+                                               uint64_t hash) const {
+  if (base_count_ == 0) {
+    auto it = ids_.find(text);
+    if (it == ids_.end()) return std::nullopt;
+    return it->second;
+  }
   const size_t mask = base_slots_.size() - 1;
-  size_t slot =
-      static_cast<size_t>(HashBytes(text.data(), text.size())) & mask;
+  size_t slot = static_cast<size_t>(hash) & mask;
   // Wiring validated that the table has at least one empty slot, so the
   // probe sequence terminates; the explicit bound keeps even a crafted
   // all-full table from looping forever.
@@ -25,25 +29,14 @@ std::optional<TokenId> TokenDictionary::BaseLookup(
 }
 
 TokenId TokenDictionary::GetOrAdd(std::string_view text) {
-  if (const std::optional<TokenId> base_hit = BaseLookup(text)) {
-    return *base_hit;
-  }
-  auto it = ids_.find(std::string(text));
+  AEETES_CHECK(!frozen_) << "GetOrAdd on a frozen TokenDictionary";
+  auto it = ids_.find(text);
   if (it != ids_.end()) return it->second;
-  const TokenId id = static_cast<TokenId>(size());
+  const TokenId id = static_cast<TokenId>(texts_.size());
   texts_.emplace_back(text);
   freq_.push_back(0);
   ids_.emplace(texts_.back(), id);
   return id;
-}
-
-std::optional<TokenId> TokenDictionary::Lookup(std::string_view text) const {
-  if (const std::optional<TokenId> base_hit = BaseLookup(text)) {
-    return base_hit;
-  }
-  auto it = ids_.find(std::string(text));
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
 }
 
 Status TokenDictionary::AddFrequency(TokenId id, uint64_t count) {
@@ -54,9 +47,7 @@ Status TokenDictionary::AddFrequency(TokenId id, uint64_t count) {
   if (id >= size()) {
     return Status::OutOfRange("token id out of range");
   }
-  // A sealed base implies frozen_, so id always lands in the overflow tier
-  // here (base_count_ is 0 before Freeze()).
-  freq_[id - base_count_] += count;
+  freq_[id] += count;
   return Status::OK();
 }
 

@@ -61,14 +61,13 @@ uint64_t ExpectedRegistrations(const Document& doc,
 }
 
 /// Replaces about a quarter of `tokens` with tokens the dictionary has
-/// never seen (frequency 0, no posting list), some of them repeated.
-void SpliceUnknownTokens(std::mt19937_64& rng, DerivedDictionary& dd,
+/// never seen, some of them repeated: ids at or past the dictionary's end,
+/// as Document::FromText gives them (frequency 0, no posting list).
+void SpliceUnknownTokens(std::mt19937_64& rng, const DerivedDictionary& dd,
                          TokenSeq& tokens) {
-  TokenDictionary& dict = dd.mutable_token_dict();
+  const TokenId end = static_cast<TokenId>(dd.token_dict().size());
   for (TokenId& t : tokens) {
-    if (rng() % 4 == 0) {
-      t = dict.GetOrAdd("unknown" + std::to_string(rng() % 6));
-    }
+    if (rng() % 4 == 0) t = end + static_cast<TokenId>(rng() % 6);
   }
 }
 
@@ -296,12 +295,10 @@ TEST(CandidateGeneratorTest, EmptyDocumentYieldsNothing) {
 TEST(CandidateGeneratorTest, DocumentOfOnlyUnknownTokensYieldsNothing) {
   std::mt19937_64 rng(31);
   auto world = MakeRandomWorld(rng);
-  // Tokens far outside the interned vocabulary.
-  TokenDictionary& dict = world.dd->mutable_token_dict();
+  // Tokens outside the dictionary: ids past its end.
+  const TokenId end = static_cast<TokenId>(world.dd->token_dict().size());
   TokenSeq oov;
-  for (int i = 0; i < 30; ++i) {
-    oov.push_back(dict.GetOrAdd("zzz" + std::to_string(i)));
-  }
+  for (TokenId i = 0; i < 30; ++i) oov.push_back(end + i);
   const Document doc = Document::FromTokens(oov);
   auto index = ClusteredIndex::Build(*world.dd);
   for (FilterStrategy s : kAllStrategies) {

@@ -19,6 +19,7 @@
 #include "src/common/metrics.h"
 #include "src/io/snapshot.h"
 #include "src/server/collection_manager.h"
+#include "tests/test_util.h"
 
 namespace aeetes {
 namespace server {
@@ -215,9 +216,8 @@ TEST_F(CollectionManagerTest, SwapUnderLoadHammer) {
 }
 
 /// Extraction helper running the full online path (not LookupString), so
-/// the delta overlay participates. The document text must only use tokens
-/// already present in the engine's dictionary when called concurrently
-/// with extraction (EncodeDocument then interns nothing).
+/// the delta overlay participates. Safe concurrently with anything: the
+/// text may carry tokens the engine has never seen.
 std::vector<std::string> ExtractTexts(const ServingEngine& engine,
                                       const std::string& text, double tau) {
   const Document doc = engine.aeetes->EncodeDocument(text);
@@ -392,25 +392,31 @@ TEST_F(CollectionManagerTest, SnapshotLoadedCollectionKeepsRules) {
 /// upserts/removals through the manager and a compaction swaps the image
 /// out from under everyone. The always-live berkeley entity must match on
 /// every single extraction, and the dance must be TSan-clean (tsan
-/// preset). The document uses only tokens present in every engine image,
-/// so concurrent EncodeDocument calls intern nothing.
+/// preset). Every document carries tokens no engine has seen, and the
+/// writer's delta entity is made only of tokens the frozen image lacks.
 TEST_F(CollectionManagerTest, LiveUpdateCompactionHammer) {
   CollectionManager manager{CollectionManager::Options{}};
   ASSERT_TRUE(manager.Create("inst", kEntities, kRules).ok());
 
   const std::string doc_text =
-      "uc berkeley of university of california berkeley technology zurich";
+      "uc berkeley of university of california berkeley technology zurich "
+      "caltech polytechnic pasadena";
+  const std::string fresh_entity = "caltech polytechnic pasadena";
   constexpr int kExtractors = 3;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> extractions{0};
   std::vector<std::thread> threads;
   threads.reserve(kExtractors + 1);
   for (int r = 0; r < kExtractors; ++r) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, r] {
+      uint64_t n = 0;
       while (!stop.load(std::memory_order_acquire)) {
         auto engine = manager.Acquire("inst");
         ASSERT_TRUE(engine.ok()) << engine.status();
-        const auto hits = ExtractTexts(**engine, doc_text, /*tau=*/0.9);
+        std::string text = doc_text;
+        text += testutil::NumberedName(" unseen", static_cast<size_t>(r));
+        text += testutil::NumberedName("x", n++);
+        const auto hits = ExtractTexts(**engine, text, /*tau=*/0.9);
         EXPECT_TRUE(Contains(hits, "university of california berkeley"));
         extractions.fetch_add(1, std::memory_order_relaxed);
       }
@@ -423,8 +429,7 @@ TEST_F(CollectionManagerTest, LiveUpdateCompactionHammer) {
     while (!stop.load(std::memory_order_acquire)) {
       const bool tombstone = (i & 2) != 0;
       if ((i & 1) == 0) {
-        ASSERT_TRUE(
-            manager.UpsertEntities("inst", {"zurich polytechnic"}).ok());
+        ASSERT_TRUE(manager.UpsertEntities("inst", {fresh_entity}).ok());
         if (tombstone) {
           ASSERT_TRUE(
               manager
@@ -433,8 +438,7 @@ TEST_F(CollectionManagerTest, LiveUpdateCompactionHammer) {
                   .ok());
         }
       } else {
-        ASSERT_TRUE(
-            manager.RemoveEntities("inst", {"zurich polytechnic"}).ok());
+        ASSERT_TRUE(manager.RemoveEntities("inst", {fresh_entity}).ok());
         ASSERT_TRUE(
             manager
                 .UpsertEntities("inst",
@@ -453,12 +457,20 @@ TEST_F(CollectionManagerTest, LiveUpdateCompactionHammer) {
   for (auto& t : threads) t.join();
   EXPECT_GT(extractions.load(), 0u);
 
-  // Post-quiesce sanity: berkeley still resolves on the compacted engine.
+  // Post-quiesce sanity: berkeley still resolves on the compacted engine,
+  // and an upserted entity of tokens the image may lack matches a document
+  // in which those tokens are unseen ones.
   auto engine = manager.Acquire("inst");
   ASSERT_TRUE(engine.ok());
   EXPECT_GE((*engine)->version, 2u);
   EXPECT_TRUE(Contains(ExtractTexts(**engine, doc_text, /*tau=*/0.9),
                        "university of california berkeley"));
+  ASSERT_TRUE(manager.UpsertEntities("inst", {fresh_entity}).ok());
+  engine = manager.Acquire("inst");
+  ASSERT_TRUE(engine.ok());
+  EXPECT_TRUE(Contains(
+      ExtractTexts(**engine, doc_text + " unseen tail", /*tau=*/0.9),
+      fresh_entity));
 }
 
 }  // namespace

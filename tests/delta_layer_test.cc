@@ -232,8 +232,8 @@ TEST_F(DeltaLayerTest, UpsertRulesReExpandsDeltaEntities) {
 }
 
 TEST_F(DeltaLayerTest, OutOfVocabularyDeltaTokensMatch) {
-  // Neither token exists in the frozen dictionary; the document interns
-  // them at encode time and the overlay bridges by text.
+  // Neither token exists in the frozen dictionary; the document gives them
+  // per-document ids and keeps their text, and the overlay bridges by text.
   ASSERT_TRUE(delta_->UpsertEntities({"zyzzyva xylophone"}).ok());
   const auto hits = HitsOf(*engine_, "a zyzzyva xylophone appeared", 0.9);
   ASSERT_EQ(hits.size(), 1u);

@@ -40,14 +40,47 @@ TEST(DocumentTest, DefaultIsEmpty) {
   EXPECT_EQ(doc.size(), 0u);
 }
 
-TEST(DocumentTest, InternsIntoSharedDictionary) {
+// Encoding never writes the dictionary: unseen tokens get per-document ids
+// from dict.size() upwards, one per distinct text, with frequency 0, and
+// their texts live in the document.
+TEST(DocumentTest, UnseenTokensGetPerDocumentIds) {
   Tokenizer tokenizer;
   TokenDictionary dict;
-  const TokenId known = dict.GetOrAdd("york");
-  const Document doc = Document::FromText("new york", tokenizer, dict);
-  ASSERT_EQ(doc.size(), 2u);
-  EXPECT_EQ(doc.tokens()[1], known);
-  EXPECT_TRUE(dict.Lookup("new").has_value());
+  const TokenId york = dict.GetOrAdd("york");
+  ASSERT_TRUE(dict.AddFrequency(york, 2).ok());
+  dict.Freeze();
+  const size_t dict_size = dict.size();
+
+  const Document doc =
+      Document::FromText("new york and new jersey", tokenizer, dict);
+  EXPECT_EQ(dict.size(), dict_size);
+  ASSERT_EQ(doc.size(), 5u);
+  const TokenSeq& t = doc.tokens();
+  EXPECT_EQ(t[1], york);
+  EXPECT_EQ(t[0], t[3]);  // "new" twice: one id
+  EXPECT_NE(t[0], t[2]);
+  EXPECT_NE(t[0], t[4]);
+  EXPECT_NE(t[2], t[4]);
+  for (const size_t i : {0, 2, 4}) {
+    EXPECT_GE(t[i], dict_size);
+    EXPECT_LT(t[i], doc.token_id_end());
+    EXPECT_EQ(dict.frequency(t[i]), 0u);
+    EXPECT_LT(dict.Rank(t[i]), dict.Rank(york));
+  }
+  EXPECT_EQ(doc.TokenText(0, dict), "new");
+  EXPECT_EQ(doc.TokenText(1, dict), "york");
+  EXPECT_EQ(doc.TokenText(2, dict), "and");
+  EXPECT_EQ(doc.TokenText(3, dict), "new");
+  EXPECT_EQ(doc.TokenText(4, dict), "jersey");
+
+  // A slice keeps the ids and the unseen-token texts.
+  const Document slice = doc.Slice(2, 3);
+  ASSERT_EQ(slice.size(), 3u);
+  EXPECT_EQ(slice.tokens()[1], t[3]);
+  EXPECT_EQ(slice.TokenText(0, dict), "and");
+  EXPECT_EQ(slice.TokenText(1, dict), "new");
+  EXPECT_EQ(slice.TokenText(2, dict), "jersey");
+  EXPECT_EQ(slice.token_id_end(), doc.token_id_end());
 }
 
 TEST(HashTest, IntVectorHashIsDeterministicAndOrderSensitive) {

@@ -1,5 +1,6 @@
 #include "src/runtime/parallel_extractor.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -337,6 +338,56 @@ TEST(ChunkBoundaryTest, StraddlingMatchFoundExactlyOnce) {
   EXPECT_EQ(m.token_len, 3u);
   EXPECT_EQ(m.entity, 0u);
   EXPECT_EQ(result->total_matches, 1u);
+}
+
+// Chunks keep their document's unseen-token texts: a delta-overlay entity
+// made only of tokens the frozen image lacks is still found by chunked
+// extraction, exactly as by an unchunked ExtractInto of the whole document.
+TEST(ChunkBoundaryTest, ChunkedDeltaMatchesOnUnseenTokens) {
+  const std::vector<std::string> entities = {"alpha beta gamma",
+                                             "delta epsilon zeta eta"};
+  auto built = Aeetes::BuildFromText(entities, {});
+  ASSERT_TRUE(built.ok()) << built.status();
+  Aeetes& aeetes = **built;
+  auto layer = DeltaLayer::Create(aeetes.derived_dictionary(), {});
+  ASSERT_TRUE(layer.ok()) << layer.status();
+  aeetes.AttachDelta(*layer);
+  ASSERT_TRUE(
+      (*layer)->UpsertEntities({"caltech polytechnic pasadena"}).ok());
+  const size_t dict_size = aeetes.derived_dictionary().token_dict().size();
+
+  std::string text;
+  for (size_t i = 0; i < 40; ++i) {
+    text += testutil::NumberedName("noise", i % 13);
+    text += i % 9 == 4   ? " caltech polytechnic pasadena "
+            : i % 9 == 7 ? " alpha beta gamma "
+                         : " ";
+  }
+  std::vector<Document> docs;
+  docs.push_back(aeetes.EncodeDocument(text));
+  EXPECT_EQ(aeetes.derived_dictionary().token_dict().size(), dict_size);
+
+  for (double tau : {0.6, 0.8, 1.0}) {
+    ExtractScratch scratch;
+    ASSERT_TRUE(aeetes.ExtractInto(scratch, docs[0], tau).ok());
+    const std::vector<Match> reference = scratch.matches;
+    const size_t delta_hits = static_cast<size_t>(std::count_if(
+        reference.begin(), reference.end(), [&](const Match& m) {
+          return m.entity >= aeetes.derived_dictionary().num_origins();
+        }));
+    EXPECT_GE(delta_hits, 4u) << "tau=" << tau;
+
+    ParallelExtractorOptions opts;
+    opts.num_threads = 2;
+    opts.max_document_tokens = 10;
+    auto extractor = ParallelExtractor::Create(aeetes, opts);
+    ASSERT_TRUE(extractor.ok());
+    auto result = (*extractor)->ExtractAll(docs, tau);
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result->per_document[0].chunks, 1u);
+    ExpectSameMatches(result->per_document[0].matches, reference,
+                      "tau=" + std::to_string(tau));
+  }
 }
 
 }  // namespace

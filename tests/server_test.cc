@@ -22,6 +22,7 @@
 #include "src/io/snapshot.h"
 #include "src/server/client.h"
 #include "src/server/server.h"
+#include "tests/test_util.h"
 
 namespace aeetes {
 namespace server {
@@ -519,6 +520,100 @@ TEST_F(ServerTest, PeerResetBeforeReadingLeavesServerServing) {
   auto fresh = Connect();
   ASSERT_NE(fresh, nullptr);
   EXPECT_TRUE(Call(*fresh, R"({"verb":"healthz"})").Find("ok")->AsBool());
+  EXPECT_TRUE(Call(*admin, R"({"verb":"healthz"})").Find("ok")->AsBool());
+}
+
+// Documents never grow an engine's dictionary: a million distinct tokens
+// the dictionary has never seen flow through extraction, and the `list`
+// verb's dict_tokens stays put while the known entity keeps matching.
+TEST_F(ServerTest, UnseenDocumentTokensLeaveTheDictionaryUnchanged) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(Call(*client, kCreateInst).Find("ok")->AsBool());
+  auto dict_tokens = [&] {
+    JsonValue list = Call(*client, R"({"verb":"list"})");
+    return list.Find("collections")->at(0).Find("dict_tokens")->AsDouble();
+  };
+  const double before = dict_tokens();
+  ASSERT_GT(before, 0);
+
+  constexpr size_t kRequests = 250;
+  constexpr size_t kDocs = 4;
+  constexpr size_t kTokensPerDoc = 1000;
+  size_t next = 0;
+  for (size_t r = 0; r < kRequests; ++r) {
+    std::string request =
+        R"({"verb":"extract","collection":"inst","docs":[)";
+    for (size_t d = 0; d < kDocs; ++d) {
+      if (d > 0) request += ',';
+      request += "\"uc berkeley";
+      for (size_t t = 0; t < kTokensPerDoc; ++t) {
+        request += ' ';
+        request += testutil::NumberedName("q", next++);
+      }
+      request += '"';
+    }
+    request += "]}";
+    JsonValue response = Call(*client, request);
+    ASSERT_TRUE(response.Find("ok")->AsBool()) << "request " << r;
+    for (size_t d = 0; d < kDocs; ++d) {
+      EXPECT_GT(response.Find("results")->at(d).Find("matches")->size(), 0u);
+    }
+  }
+  EXPECT_GE(next, size_t{1000000});
+  EXPECT_EQ(dict_tokens(), before);
+}
+
+// A client that pipelines requests and then half-closes (shutdown(SHUT_WR))
+// is still reading: every response in flight must reach it before the
+// server closes the connection. The extract is answered asynchronously by
+// the batcher, so it is usually still in flight when the EOF arrives.
+TEST_F(ServerTest, HalfClosedClientStillGetsEveryResponse) {
+  StartServer();
+  auto admin = Connect();
+  ASSERT_NE(admin, nullptr);
+  ASSERT_TRUE(Call(*admin, kCreateInst).Find("ok")->AsBool());
+
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  for (int round = 0; round < 20; ++round) {
+    std::string wire;
+    EncodeFrame(R"({"verb":"healthz"})", &wire);
+    EncodeFrame(R"({"verb":"extract","collection":"inst",)"
+                R"("docs":["a talk at uc berkeley"]})",
+                &wire);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::write(fd, wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+    // Read to EOF: the server closes only after writing both replies.
+    FrameReader reader(1u << 20);
+    std::vector<std::string> replies;
+    char buf[4096];
+    while (true) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n < 0 && errno == EINTR) continue;
+      ASSERT_GE(n, 0) << std::strerror(errno);
+      if (n == 0) break;
+      reader.Feed(buf, static_cast<size_t>(n));
+      std::string payload;
+      while (reader.Poll(&payload) == FrameReader::Next::kFrame) {
+        replies.push_back(payload);
+      }
+    }
+    ::close(fd);
+    ASSERT_EQ(replies.size(), 2u) << "round " << round;
+    EXPECT_NE(replies[0].find("\"status\""), std::string::npos);
+    EXPECT_NE(replies[1].find("university of california berkeley"),
+              std::string::npos);
+  }
   EXPECT_TRUE(Call(*admin, R"({"verb":"healthz"})").Find("ok")->AsBool());
 }
 

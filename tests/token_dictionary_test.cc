@@ -51,13 +51,26 @@ TEST(TokenDictionaryTest, AddFrequencyOutOfRangeFails) {
   EXPECT_EQ(d.AddFrequency(99).code(), StatusCode::kOutOfRange);
 }
 
-TEST(TokenDictionaryTest, InterningStillAllowedAfterFreeze) {
+TEST(TokenDictionaryTest, FrozenDictionaryIsReadOnly) {
   TokenDictionary d;
-  d.GetOrAdd("alpha");
+  const TokenId a = d.GetOrAdd("alpha");
   d.Freeze();
-  const TokenId b = d.GetOrAdd("oov");
-  EXPECT_EQ(d.frequency(b), 0u);
-  EXPECT_FALSE(d.IsValid(b));
+  EXPECT_EQ(d.Lookup("alpha"), a);
+  EXPECT_FALSE(d.Lookup("oov").has_value());
+  EXPECT_DEATH(d.GetOrAdd("oov"), "frozen");
+  EXPECT_DEATH(d.Encode({"oov"}), "frozen");
+  EXPECT_EQ(d.size(), 1u);
+}
+
+TEST(TokenDictionaryTest, IdsPastTheEndReadAsFrequencyZero) {
+  TokenDictionary d;
+  const TokenId a = d.GetOrAdd("alpha");
+  ASSERT_TRUE(d.AddFrequency(a, 5).ok());
+  d.Freeze();
+  const TokenId past = static_cast<TokenId>(d.size()) + 3;
+  EXPECT_EQ(d.frequency(past), 0u);
+  EXPECT_FALSE(d.IsValid(past));
+  EXPECT_LT(d.Rank(past), d.Rank(a));
 }
 
 TEST(TokenDictionaryTest, RankOrdersByFrequencyThenId) {

@@ -38,7 +38,9 @@
 #               extract + healthz + list exercised with
 #               tools/serve_client.py, the metrics verb validated with
 #               tools/validate_prometheus.py (server.* families must be
-#               present), live upsert -> compact -> re-extract, a
+#               present), 200 extracts of never-seen tokens must leave
+#               list's dict_tokens unchanged, a half-closed client must
+#               get every response, live upsert -> compact -> re-extract, a
 #               compacted snapshot loaded as a second collection must
 #               apply the same synonym rules to upserts, a client that
 #               pipelines extracts and resets the connection unread must
@@ -572,6 +574,45 @@ EOF
       return
     fi
   done
+  # Documents never grow the dictionary: 200 extracts made only of tokens
+  # no engine has seen leave list's dict_tokens where it was.
+  local unseen_requests=()
+  mapfile -t unseen_requests < <(python3 -c '
+import json
+for r in range(200):
+    words = " ".join("unseen%dx%d" % (r, t) for t in range(50))
+    print(json.dumps({"verb": "extract", "collection": "institutions",
+                      "docs": [words], "tau": 0.8}))')
+  if ! python3 tools/serve_client.py --port-file "$workdir/port" \
+        '{"verb":"list"}' "${unseen_requests[@]}" '{"verb":"list"}' \
+        >"$workdir/unseen.jsonl" 2>&1 \
+     || ! python3 - "$workdir/unseen.jsonl" <<'EOF'
+import json, sys
+lines = [json.loads(line) for line in open(sys.argv[1], encoding="utf-8")]
+before, after = lines[0]["collections"][0], lines[-1]["collections"][0]
+assert len(lines) == 202, len(lines)
+assert before["dict_tokens"] > 0, before
+assert after["dict_tokens"] == before["dict_tokens"], (before, after)
+EOF
+  then
+    tail -n 3 "$workdir/unseen.jsonl" 2>/dev/null
+    kill "$server_pid" 2>/dev/null || true
+    rm -rf "$workdir"
+    fail serve-smoke "unseen document tokens changed dict_tokens"
+    return
+  fi
+  # Half-close: a client that pipelines and then shuts down its write side
+  # still gets every response before the server closes.
+  if ! python3 tools/serve_client.py --port-file "$workdir/port" \
+        --half-close '{"verb":"healthz"}' \
+        '{"verb":"extract","collection":"institutions","docs":["she studied at uc berkeley"],"tau":0.8}' \
+        >"$workdir/halfclose.jsonl" 2>&1; then
+    cat "$workdir/halfclose.jsonl" 2>/dev/null
+    kill "$server_pid" 2>/dev/null || true
+    rm -rf "$workdir"
+    fail serve-smoke "responses lost after the client half-closed"
+    return
+  fi
   # Live update: upsert a brand-new entity, see it match immediately from
   # the delta overlay, compact, wait for the swapped image (version 2),
   # and see the same match from the compacted frozen index.

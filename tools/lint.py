@@ -8,6 +8,9 @@ mentioning `throw` does not trip the gate:
 
   throw            the library never throws; fallible paths return Status.
   dynamic_cast     no RTTI-dependent dispatch (and -fno-rtti stays viable).
+  const_cast       const is a promise to concurrent readers (a frozen
+                   TokenDictionary, an engine image); casting it away is
+                   how a shared structure gets written behind their back.
   std::regex       throws, allocates unpredictably, and is slower than the
                    hand-rolled scanners this library exists to provide.
   rand()           hidden global state; all randomness flows through
@@ -56,11 +59,15 @@ ALLOWLIST = {
     ("steady-clock", "src/common/stopwatch.h"):
         "the one clock-read site; Stopwatch wraps steady_clock for "
         "everything else",
+    ("const-cast", "src/common/flat_map.h"):
+        "const Find delegates to the non-const Find of the same object "
+        "(the usual one-implementation idiom); nothing is written",
 }
 
 BANNED_SIMPLE = [
     ("throw", re.compile(r"\bthrow\b")),
     ("dynamic-cast", re.compile(r"\bdynamic_cast\b")),
+    ("const-cast", re.compile(r"\bconst_cast\b")),
     ("std-regex", re.compile(r"\bstd::regex\b|#include\s*<regex>")),
     ("rand", re.compile(r"\brand\s*\(\s*\)|\bsrand\s*\(")),
     ("tsa-suppression", re.compile(r"\bAEETES_NO_THREAD_SAFETY_ANALYSIS\b")),

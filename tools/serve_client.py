@@ -28,6 +28,10 @@ requests N times back to back without reading a single response, waits
 briefly so responses pile up toward it, then closes with SO_LINGER 0 so
 the server sees a connection reset. It prints nothing and exits 0; the
 caller checks that the server is still serving afterwards.
+
+--half-close plays a peer that pipelines every request, then shuts down
+its write side (shutdown(SHUT_WR)) and reads until the server closes:
+each request must still get its response, printed as above.
 """
 import argparse
 import json
@@ -67,6 +71,26 @@ def reset_after_send(sock: socket.socket, requests, times: int) -> None:
                     struct.pack("ii", 1, 0))
 
 
+def half_close(sock: socket.socket, requests) -> list:
+    sock.sendall(b"".join(frame(r) for r in requests))
+    sock.shutdown(socket.SHUT_WR)
+    data = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    responses = []
+    while len(data) >= HEADER.size:
+        (length,) = HEADER.unpack_from(data)
+        if len(data) < HEADER.size + length:
+            break
+        payload = data[HEADER.size:HEADER.size + length]
+        responses.append(json.loads(payload.decode("utf-8")))
+        data = data[HEADER.size + length:]
+    return responses
+
+
 def wait_version(sock: socket.socket, spec: str, deadline: float) -> bool:
     name, _, version = spec.rpartition("=")
     if not name:
@@ -101,6 +125,9 @@ def main() -> int:
     parser.add_argument("--reset", type=int, default=0, metavar="N",
                         help="send the requests N times without reading, "
                         "then reset the connection (see above)")
+    parser.add_argument("--half-close", action="store_true",
+                        help="pipeline the requests, shut down the write "
+                        "side, then read every response (see above)")
     parser.add_argument("requests", nargs="*",
                         help="JSON request payloads, sent in order")
     args = parser.parse_args()
@@ -123,8 +150,16 @@ def main() -> int:
     with socket.create_connection((args.host, args.port),
                                   timeout=args.timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        for request in args.requests:
-            response = call(sock, request)
+        if args.half_close:
+            responses = half_close(sock, args.requests)
+            if len(responses) != len(args.requests):
+                print(f"serve_client: {len(responses)} of "
+                      f"{len(args.requests)} responses arrived after the "
+                      "half-close", file=sys.stderr)
+                return 1
+        else:
+            responses = (call(sock, request) for request in args.requests)
+        for response in responses:
             print(json.dumps(response, sort_keys=True))
             if not response.get("ok", False):
                 failed = True
